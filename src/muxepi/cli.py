@@ -231,13 +231,11 @@ def _networks(config: RunConfig):
     ct_path = config.values.get("contact_edges")
     if aw_path and ct_path:
         return build_multiplex(read_edge_list(aw_path), read_edge_list(ct_path))
-    ss = np.random.SeedSequence(config.seed, spawn_key=(0,))
-    ba_seed, ws_seed = ss.spawn(2)
-    awareness = generate_ba(config.get("n"), config.get("ba_m"), seed=np.random.default_rng(ba_seed))
-    contact = generate_ws(
-        config.get("n"), config.get("ws_k"), config.get("ws_p"), seed=np.random.default_rng(ws_seed)
+    ba_seed, ws_seed = np.random.SeedSequence(config.seed, spawn_key=(0,)).spawn(2)
+    return build_multiplex(
+        generate_ba(config.get("n"), config.get("ba_m"), seed=ba_seed),
+        generate_ws(config.get("n"), config.get("ws_k"), config.get("ws_p"), seed=ws_seed),
     )
-    return build_multiplex(awareness, contact)
 
 
 def _experiment_spec(config: RunConfig, lambdas, betas, omega: OmegaSpec) -> ExperimentSpec:

@@ -132,6 +132,14 @@ class Trajectory:
         return self.steps[-1].rho_a
 
 
+def omega_mask(n: int, omega_set) -> np.ndarray:
+    """Boolean mask of the silenced nodes among n; indices must lie in 0..n-1."""
+    idx = np.asarray(list(omega_set), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidArgumentError("omega_set contains out-of-range node indices")
+    return np.bincount(idx, minlength=n) > 0
+
+
 def init_states(
     net: MultiplexNetwork,
     omega_set,
@@ -140,11 +148,7 @@ def init_states(
 ) -> StateVector:
     """Seed ceil(N * initial_infected_fraction) uniform infections; rest US."""
     n = net.node_count
-    omega = np.zeros(n, dtype=bool)
-    omega_idx = np.asarray(list(omega_set), dtype=np.int64)
-    if omega_idx.size and (omega_idx.min() < 0 or omega_idx.max() >= n):
-        raise InvalidArgumentError("omega_set contains out-of-range node indices")
-    omega[omega_idx] = True
+    omega = omega_mask(n, omega_set)
     n_seed = int(np.ceil(n * params.initial_infected_fraction))
     seeds = rng.choice(n, size=n_seed, replace=False)
     disease = np.full(n, S, dtype=np.int8)

@@ -93,14 +93,11 @@ def _seed_int(master_seed: int, *key) -> int:
 
 
 def _build_network(spec: ExperimentSpec, kind: int, cell: int, rep: int) -> MultiplexNetwork:
-    rep_key = rep if spec.fresh_networks else 0
-    awareness = generate_ba(
-        spec.n, spec.ba_m, seed=_seed_rng(spec.master_seed, kind, cell, rep_key, _NS_BA)
+    key = (kind, cell, rep if spec.fresh_networks else 0)
+    return build_multiplex(
+        generate_ba(spec.n, spec.ba_m, seed=_seed_rng(spec.master_seed, *key, _NS_BA)),
+        generate_ws(spec.n, spec.ws_k, spec.ws_p, seed=_seed_rng(spec.master_seed, *key, _NS_WS)),
     )
-    contact = generate_ws(
-        spec.n, spec.ws_k, spec.ws_p, seed=_seed_rng(spec.master_seed, kind, cell, rep_key, _NS_WS)
-    )
-    return build_multiplex(awareness, contact)
 
 
 def _resolve_omega(spec: ExperimentSpec, omega: OmegaSpec, net, kind, cell, rep):

@@ -7,7 +7,7 @@ parameters and seed.
 
 from __future__ import annotations
 
-from collections import deque
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,75 +31,66 @@ __all__ = [
 
 
 class Graph:
-    """Simple undirected graph backed by adjacency lists.
+    """Simple undirected graph stored once, as a symmetric CSR with sorted rows.
 
-    Safe for concurrent reads; never mutated after __init__.
+    `indptr` and `indices` are read-only; the graph is never mutated after
+    __init__, so it is safe for concurrent reads.
     """
 
     def __init__(self, node_count: int, edges):
         if node_count < 0:
             raise InvalidArgumentError(f"node_count must be >= 0, got {node_count}")
-        self.node_count = int(node_count)
-        adj = [set() for _ in range(self.node_count)]
-        edge_set = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
+        n = self.node_count = int(node_count)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        i, j = pairs.reshape(-1, 2).T
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        if bad.any():
+            i, j = int(i[bad][0]), int(j[bad][0])
             if i == j:
                 raise InvalidArgumentError(f"self-loop ({i},{i}) not allowed")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise InvalidArgumentError(
-                    f"edge ({i},{j}) out of range for {self.node_count} nodes"
-                )
-            if i > j:
-                i, j = j, i
-            if (i, j) in edge_set:
-                continue
-            edge_set.add((i, j))
-            adj[i].add(j)
-            adj[j].add(i)
-        self._edge_set = frozenset(edge_set)
-        self._adj = [np.array(sorted(s), dtype=np.int64) for s in adj]
-        self._adj_sets = [frozenset(s) for s in adj]
-        self._csr = None
+            raise InvalidArgumentError(f"edge ({i},{j}) out of range for {n} nodes")
+        # Both directions of every edge keyed row * n + col: sorted keys give
+        # sorted rows and sorted columns per row, with duplicate edges adjacent.
+        keys = np.sort(np.concatenate([i * n + j, j * n + i]))
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        self._adjacency = sparse.csr_matrix((np.ones(len(cols)), cols, self.indptr), shape=(n, n))
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_set)
+        return len(self.indices) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self._adj[i]
-
-    def neighbor_set(self, i: int) -> frozenset:
-        return self._adj_sets[i]
+        """Sorted neighbour indices of node i (a read-only view)."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self._edge_set
+        if not (0 <= i < self.node_count):
+            return False
+        row = self.neighbors(i)
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and int(row[k]) == j
 
     def edges(self):
-        """Iterate canonical (i, j) pairs with i < j, sorted."""
-        return iter(sorted(self._edge_set))
+        """Iterate canonical (i, j) pairs with i < j, sorted: the upper triangle."""
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        upper = self.indices > rows
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency as CSR (cached)."""
-        if self._csr is None:
-            n = self.node_count
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            for i in range(n):
-                indptr[i + 1] = indptr[i] + len(self._adj[i])
-            indices = (
-                np.concatenate(self._adj) if indptr[-1] else np.empty(0, dtype=np.int64)
-            )
-            data = np.ones(indptr[-1], dtype=np.float64)
-            self._csr = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        return self._csr
+        """Symmetric 0/1 adjacency as a scipy CSR over the graph's own indptr/indices."""
+        return self._adjacency
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.node_count == other.node_count
-            and self._edge_set == other._edge_set
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __repr__(self):
@@ -129,39 +120,64 @@ def build_multiplex(a: Graph, b: Graph) -> MultiplexNetwork:
     return MultiplexNetwork(awareness_layer=a, contact_layer=b)
 
 
+_BA_BLOCK = 256  # nodes whose first m draws are taken in one Generator call
+
+
 def generate_ba(n: int, m: int, seed=None) -> Graph:
     """Barabasi-Albert preferential attachment graph.
 
     Starts from a complete graph on m nodes; each subsequent node attaches to
     m distinct existing nodes with probability proportional to current degree.
+    Draws are taken in blocks but equal one `rng.integers(len(repeated))` at a
+    time until m targets are distinct, and leave the Generator in that state.
     """
     if m < 1:
         raise InvalidArgumentError(f"m must be >= 1, got {m}")
     if n < m:
         raise InvalidArgumentError(f"need n >= m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    edges = []
-    # One entry per edge endpoint; sampling from it is degree-proportional.
-    repeated: list[int] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            edges.append((i, j))
-            repeated.append(i)
-            repeated.append(j)
-    for v in range(m, n):
-        chosen: set[int] = set()
-        if repeated:
-            while len(chosen) < m:
-                chosen.add(repeated[int(rng.integers(len(repeated)))])
-        else:
-            # m=1 starts with an isolated node of degree 0; attach uniformly.
-            while len(chosen) < m:
-                chosen.add(int(rng.integers(v)))
-        for t in sorted(chosen):
-            edges.append((t, v))
-            repeated.append(t)
-            repeated.append(v)
-    return Graph(n, edges)
+    # One entry per edge endpoint, in (i, j) pairs, so sampling an index is
+    # degree-proportional and the pairs are the edge list. Node u >= m writes
+    # (t, u) for its m sorted targets t from index start(u) = m(m-1) + 2m(u-m):
+    # only the targets are unknown in advance.
+    clique = m * (m - 1)
+    repeated = np.empty(clique + 2 * m * (n - m), dtype=np.int64)
+    repeated[:clique] = [x for i in range(m) for j in range(i + 1, m) for x in (i, j)]
+    repeated[clique + 1 :: 2] = np.repeat(np.arange(m, n), m)
+    v = m
+    if m == 1 and n > 1:
+        # Node 1 takes node 0, its only choice: a one-value draw uses no randomness.
+        repeated[0], v = 0, 2
+    while v < n:
+        start = clique + 2 * m * (np.arange(v, min(n, v + _BA_BLOCK)) - m)
+        highs = np.repeat(start, m)
+        saved = rng.bit_generator.state
+        draws = rng.integers(0, highs).reshape(-1, m)
+        block = repeated[start[0] : start[-1] + 2 * m].reshape(-1, m, 2)
+        block[:, :, 0] = np.sort(repeated[draws], axis=1)
+        # Rows that drew a target slot of an earlier node in this block read it
+        # unwritten: redo them in order, up to the first node whose targets collide.
+        pending = ((draws >= start[0]) & ((draws - clique) % 2 == 0)).any(axis=1)
+        collided = (block[:, 1:, 0] == block[:, :-1, 0]).any(axis=1) & ~pending
+        c = int(np.argmax(collided)) if collided.any() else len(start)
+        for r in np.flatnonzero(pending[:c]).tolist():
+            block[r, :, 0] = t = np.sort(repeated[draws[r]])
+            if (t[1:] == t[:-1]).any():
+                c = r
+                break
+        if c == len(start):
+            v += len(start)
+            continue
+        # That node draws again in the one-at-a-time stream, voiding the rest of
+        # the block: rewind to after its first m draws, finish it one at a time.
+        rng.bit_generator.state = saved
+        rng.integers(0, highs[: (c + 1) * m])
+        chosen = set(block[c, :, 0].tolist())
+        while len(chosen) < m:
+            chosen.add(int(repeated[rng.integers(start[c])]))
+        block[c, :, 0] = sorted(chosen)
+        v += c + 1
+    return Graph(n, repeated.reshape(-1, 2))
 
 
 def generate_ws(n: int, k: int, p: float, seed=None) -> Graph:
@@ -180,33 +196,33 @@ def generate_ws(n: int, k: int, p: float, seed=None) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    adj = [set() for _ in range(n)]
+    random, integers = rng.random, rng.integers
+    # Edge (i, j) is the key min(i,j)*n + max(i,j).
+    ring = np.arange(n, dtype=np.int64)
+    lattice = [np.sort([ring, (ring + d) % n], axis=0) for d in range(1, k // 2 + 1)]
+    keys = set(np.concatenate([lo * n + hi for lo, hi in lattice]).tolist())
+    degree = [k] * n
     for d in range(1, k // 2 + 1):
         for i in range(n):
-            j = (i + d) % n
-            adj[i].add(j)
-            adj[j].add(i)
-    for d in range(1, k // 2 + 1):
-        for i in range(n):
-            if rng.random() >= p:
+            if random() >= p or degree[i] >= n - 1:
                 continue
-            if len(adj[i]) >= n - 1:
-                continue
+            w = int(integers(n))
+            while w == i or min(i, w) * n + max(i, w) in keys:
+                w = int(integers(n))
+            # Lattice edge (i, i+d) is still there: with n > k only this
+            # step removes it. Node i keeps its degree.
             j = (i + d) % n
-            w = int(rng.integers(n))
-            while w == i or w in adj[i]:
-                w = int(rng.integers(n))
-            adj[i].discard(j)
-            adj[j].discard(i)
-            adj[i].add(w)
-            adj[w].add(i)
-    edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
-    return Graph(n, edges)
+            keys.remove(min(i, j) * n + max(i, j))
+            keys.add(min(i, w) * n + max(i, w))
+            degree[j] -= 1
+            degree[w] += 1
+    upper = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    return Graph(n, np.stack(np.divmod(upper, n), axis=1))
 
 
 def degree_sequence(g: Graph) -> np.ndarray:
     """Per-node neighbor counts."""
-    return np.array([len(g.neighbors(i)) for i in range(g.node_count)], dtype=np.int64)
+    return np.diff(g.indptr)
 
 
 def betweenness(g: Graph, exact: bool = False):
@@ -220,67 +236,57 @@ def betweenness(g: Graph, exact: bool = False):
     returned; otherwise a float array.
     """
     n = g.node_count
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    nbrs = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
     zero = Fraction(0) if exact else 0.0
     bc = [zero] * n
     for s in range(n):
-        order = []
-        preds: list[list[int]] = [[] for _ in range(n)]
         sigma = [zero] * n
         sigma[s] = Fraction(1) if exact else 1.0
         dist = [-1] * n
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in g.neighbors(v):
-                w = int(w)
+        # The BFS queue: nodes are appended in order of distance from s.
+        order = [s]
+        for v in order:
+            dv = dist[v] + 1
+            for w in nbrs[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
+                    dist[w] = dv
+                    order.append(w)
+                if dist[w] == dv:
                     sigma[w] = sigma[w] + sigma[v]
-                    preds[w].append(v)
         delta = [zero] * n
-        while order:
-            w = order.pop()
-            for v in preds[w]:
-                delta[v] = delta[v] + (sigma[v] / sigma[w]) * (1 + delta[w])
+        for w in reversed(order):
+            # The shortest-path predecessors of w: its neighbours one step closer to s.
+            closer = dist[w] - 1
+            for v in nbrs[w]:
+                if dist[v] == closer:
+                    delta[v] = delta[v] + (sigma[v] / sigma[w]) * (1 + delta[w])
             if w != s:
                 # Each source contributes the one-directional count; looping
                 # over every s yields the ordered-pair total.
                 bc[w] = bc[w] + delta[w]
-    if exact:
-        return bc
-    return np.array(bc, dtype=np.float64)
+    return bc if exact else np.array(bc, dtype=np.float64)
 
 
 def clustering_coefficients(g: Graph) -> np.ndarray:
     """Local clustering: triangle density among each node's neighbors.
 
     C_i = 2 * links(nbrs(i)) / (deg_i * (deg_i - 1)); zero when deg_i <= 1.
+    Row i of (A·A)∘A counts, for each neighbour j, the common neighbours of
+    i and j, so its sum is 2 * links(nbrs(i)).
     """
-    n = g.node_count
-    out = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        nbrs = g.neighbors(i)
-        d = len(nbrs)
-        if d < 2:
-            continue
-        nbr_set = g.neighbor_set(i)
-        links = 0
-        for u in nbrs:
-            links += sum(1 for w in g.neighbors(int(u)) if w > u and w in nbr_set)
-        out[i] = 2.0 * links / (d * (d - 1))
-    return out
+    a = g.adjacency()
+    twice_links = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    d = degree_sequence(g)
+    return np.divide(twice_links, d * (d - 1), out=np.zeros(g.node_count), where=d >= 2)
 
 
 def write_edge_list(g: Graph, path) -> None:
     """Write the canonical edge-list text format: header `# nodes=N`, then `i j` lines."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# nodes={g.node_count}\n")
-        for i, j in g.edges():
-            fh.write(f"{i} {j}\n")
+        fh.write("".join(f"{i} {j}\n" for i, j in g.edges()))
 
 
 def read_edge_list(path) -> Graph:
@@ -292,13 +298,20 @@ def read_edge_list(path) -> Graph:
             n = int(header.split("=", 1)[1])
         except ValueError as exc:
             raise InvalidArgumentError(f"{path}: bad node count in header") from exc
-        edges = []
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no edge lines: an edge-free graph
+                edges = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if edges.size == 0 or edges.shape[1] == 2:
+                return Graph(n, edges)
+        # Name the first offending line; numpy's message counts rows its own way.
+        fh.seek(body)
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidArgumentError(f"{path}:{lineno}: expected 'i j'")
-            edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
+            fields = line.split("#", 1)[0].split()
+            if fields and not (len(fields) == 2 and all(f.lstrip("+-").isdigit() for f in fields)):
+                raise InvalidArgumentError(f"{path}:{lineno}: expected 'i j', got {line.strip()!r}")
+    raise InvalidArgumentError(f"{path}: node indices must fit in int64")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dynamics import DynamicsParams
+from .dynamics import DynamicsParams, omega_mask
 from .errors import InvalidArgumentError, NonConvergenceError
 from .graph import Graph, MultiplexNetwork
 
@@ -117,11 +117,7 @@ def init_mmca(
 ) -> MmcaState:
     """Mirror the Monte Carlo initial condition in probability."""
     n = net.node_count
-    omega = np.zeros(n, dtype=bool)
-    omega_idx = np.asarray(list(omega_set), dtype=np.int64)
-    if omega_idx.size and (omega_idx.min() < 0 or omega_idx.max() >= n):
-        raise InvalidArgumentError("omega_set contains out-of-range node indices")
-    omega[omega_idx] = True
+    omega = omega_mask(n, omega_set)
     f = params.initial_infected_fraction
     p_ai = np.where(omega, 0.0, f)
     p_ui = np.where(omega, f, 0.0)
@@ -208,12 +204,8 @@ def mmca_run(
     for _ in range(max_iter):
         nxt = mmca_step(state, net, params)
         change = max(
-            float(np.max(np.abs(nxt.p_us - state.p_us))),
-            float(np.max(np.abs(nxt.p_as - state.p_as))),
-            float(np.max(np.abs(nxt.p_ai - state.p_ai))),
-            float(np.max(np.abs(nxt.p_ur - state.p_ur))),
-            float(np.max(np.abs(nxt.p_ar - state.p_ar))),
-            float(np.max(np.abs(nxt.p_ui - state.p_ui))),
+            float(np.max(np.abs(getattr(nxt, c) - getattr(state, c))))
+            for c in ("p_us", "p_as", "p_ai", "p_ur", "p_ar", "p_ui")
         )
         state = nxt
         if change < tol:
@@ -234,13 +226,8 @@ def uau_steady_state(
     """Disease-free awareness fixed point; silenced nodes stay at zero."""
     if tol <= 0.0:
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
-    n = net.node_count
     a_mat = net.awareness_layer.adjacency()
-    omega = np.zeros(n, dtype=bool)
-    omega_idx = np.asarray(list(omega_set), dtype=np.int64)
-    if omega_idx.size and (omega_idx.min() < 0 or omega_idx.max() >= n):
-        raise InvalidArgumentError("omega_set contains out-of-range node indices")
-    omega[omega_idx] = True
+    omega = omega_mask(net.node_count, omega_set)
     p = np.where(omega, 0.0, float(init))
     for _ in range(max_iter):
         r = _neighbor_product(a_mat, 1.0 - params.lam * p)

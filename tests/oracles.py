@@ -58,6 +58,77 @@ def random_graph(n, p, rng):
     return edges
 
 
+# --- reference generators ----------------------------------------------------
+#
+# One scalar draw at a time, with Python sets for adjacency: the RNG call
+# sequence the package generators must reproduce. Both return the sorted
+# canonical (i, j), i < j, edge list.
+
+
+def reference_ba(n, m, rng):
+    """Barabasi-Albert growth from an m-clique, sampling degree-proportionally."""
+    edges = []
+    repeated = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            edges.append((i, j))
+            repeated.append(i)
+            repeated.append(j)
+    for v in range(m, n):
+        chosen = set()
+        if repeated:
+            while len(chosen) < m:
+                chosen.add(repeated[int(rng.integers(len(repeated)))])
+        else:
+            while len(chosen) < m:
+                chosen.add(int(rng.integers(v)))
+        for t in sorted(chosen):
+            edges.append((t, v))
+            repeated.append(t)
+            repeated.append(v)
+    return sorted(set(edges))
+
+
+def reference_ws(n, k, p, rng):
+    """Watts-Strogatz ring of k/2 neighbours per side, far endpoints rewired with prob. p."""
+    adj = [set() for _ in range(n)]
+    for d in range(1, k // 2 + 1):
+        for i in range(n):
+            j = (i + d) % n
+            adj[i].add(j)
+            adj[j].add(i)
+    for d in range(1, k // 2 + 1):
+        for i in range(n):
+            if rng.random() >= p:
+                continue
+            if len(adj[i]) >= n - 1:
+                continue
+            j = (i + d) % n
+            w = int(rng.integers(n))
+            while w == i or w in adj[i]:
+                w = int(rng.integers(n))
+            adj[i].discard(j)
+            adj[j].discard(i)
+            adj[i].add(w)
+            adj[w].add(i)
+    return sorted((i, j) for i in range(n) for j in adj[i] if i < j)
+
+
+def triangle_clustering(n, edges):
+    """Local clustering by counting, for each node, the linked pairs among its neighbours."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    out = []
+    for i in range(n):
+        nbrs = sorted(adj[i])
+        d = len(nbrs)
+        links = sum(1 for a in range(d) for b in range(a + 1, d) if nbrs[b] in adj[nbrs[a]])
+        out.append(2.0 * links / (d * (d - 1)) if d >= 2 else 0.0)
+    return out
+
+
 # --- exact two-node joint Markov chain -------------------------------------
 #
 # Node states are (disease, aware) with disease in {S, I, R}; UI only exists

@@ -88,6 +88,17 @@ class TestMainErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
 
+    def test_malformed_edge_file_reported_without_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_text("# nodes=3\n0 1\n1 x\n")
+        out = tmp_path / "thr"
+        rc = main([
+            "threshold", "--out", str(out),
+            "--set", f"awareness_edges={bad}", "--set", f"contact_edges={bad}",
+        ])
+        assert rc != 0
+        assert f"{bad}:3: expected 'i j'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_round_trip_and_manifest(self, tmp_path):

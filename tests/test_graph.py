@@ -13,7 +13,13 @@ from muxepi import (
     read_edge_list,
     write_edge_list,
 )
-from oracles import brute_force_betweenness, random_graph
+from oracles import (
+    brute_force_betweenness,
+    random_graph,
+    reference_ba,
+    reference_ws,
+    triangle_clustering,
+)
 
 
 def complete_graph(n):
@@ -37,6 +43,15 @@ class TestGraph:
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
+
+    def test_error_names_first_offending_edge(self):
+        with pytest.raises(InvalidArgumentError, match=r"edge \(1,5\) out of range"):
+            Graph(3, [(0, 1), (1, 5), (2, 2)])
+        with pytest.raises(InvalidArgumentError, match=r"self-loop \(2,2\)"):
+            Graph(3, np.array([[0, 1], [2, 2], [1, 5]]))
+
+    def test_edge_array_equals_edge_pairs(self):
+        assert Graph(4, np.array([[2, 0], [0, 2], [3, 1]])) == Graph(4, [(0, 2), (1, 3)])
 
     def test_adjacency_matrix_symmetric(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -118,6 +133,26 @@ class TestGenerateWS:
         assert generate_ws(300, 4, 0.3, seed=9) == generate_ws(300, 4, 0.3, seed=9)
 
 
+class TestGeneratorsMatchReference:
+    """Same edges as the one-draw-at-a-time reference, and the same Generator state after."""
+
+    @pytest.mark.parametrize("n", [4, 60, 3000])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_ba(self, m, n):
+        rng, ref_rng = np.random.default_rng(100 * m + n), np.random.default_rng(100 * m + n)
+        assert list(generate_ba(n, m, seed=rng).edges()) == reference_ba(n, m, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n_over_k", [1, 8, 500])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_ws(self, k, p, n_over_k):
+        n = k + 1 if n_over_k == 1 else k * n_over_k
+        rng, ref_rng = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        assert list(generate_ws(n, k, p, seed=rng).edges()) == reference_ws(n, k, p, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+
 class TestDegreeSequence:
     def test_complete_graph(self):
         assert (degree_sequence(complete_graph(4)) == 3).all()
@@ -158,6 +193,14 @@ class TestClustering:
         # Each node: 3 of the 6 neighbor pairs are linked.
         assert clustering_coefficients(generate_ws(10, 4, 0.0)).tolist() == [0.5] * 10
 
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_triangle_count_exactly(self, seed, density):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 80))
+        edges = random_graph(n, density, rng)
+        assert clustering_coefficients(Graph(n, edges)).tolist() == triangle_clustering(n, edges)
+
     def test_bounds(self):
         g = generate_ba(200, 3, seed=2)
         cc = clustering_coefficients(g)
@@ -196,3 +239,18 @@ class TestEdgeListIO:
         path.write_text("0 1\n")
         with pytest.raises(InvalidArgumentError):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "7", "1.5 2"])
+    def test_malformed_edge_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"# nodes=9\n0 1\n\n# a comment\n{line}\n2 3\n")
+        expected = f"bad.edges:5: expected 'i j', got '{line}'"
+        with pytest.raises(InvalidArgumentError, match=expected):
+            read_edge_list(path)
+
+    def test_comments_blank_lines_and_no_edges(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes=4\n\n# only comments\n")
+        assert read_edge_list(path) == Graph(4, [])
+        path.write_text("# nodes=4\n  2 3\n# c\n\n0 1\n")
+        assert read_edge_list(path) == Graph(4, [(0, 1), (2, 3)])
