@@ -27,7 +27,6 @@ from .dynamics import (
     run_to_absorption,
 )
 from .mmca import (
-    HMatrix,
     MmcaState,
     ThresholdResult,
     build_h_matrix,

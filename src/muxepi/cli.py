@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import DynamicsParams
-from .errors import ConfigError, MuxepiError
+from .errors import ConfigError, InvalidArgumentError, MuxepiError
 from .experiments import (
     ExperimentSpec,
     heatmap_experiment,
@@ -37,41 +37,41 @@ from .selection import STRATEGIES, OmegaSpec, select_omega, write_omega_set
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 
-_FLOAT_KEYS = {
-    "ws_p",
-    "lambda",
-    "beta_u",
-    "beta_a",
-    "gamma",
-    "delta",
-    "mu",
-    "initial_infected_fraction",
-    "omega_fraction",
-    "tol",
+# key -> (kind, default). A kind is a tag, or the tuple of allowed strings.
+# A None default leaves the key unset unless given: seed and out have their own
+# precedence, and the subcommand that reads the key owns its fallback
+# (lambdas, betas, omega_count).
+_KEYS = {
+    "subcommand": (SUBCOMMANDS, None),
+    "seed": ("int", None),
+    "out": ("str", None),
+    "n": ("int", 10000),
+    "ba_m": ("int", 4),
+    "ws_k": ("int", 4),
+    "ws_p": ("rate", 0.1),
+    "awareness_edges": ("str", None),
+    "contact_edges": ("str", None),
+    "lambda": ("rate", 0.5),
+    "beta_u": ("rate", 0.2),
+    "beta_a": ("rate", None),
+    "gamma": ("rate", 0.5),
+    "delta": ("rate", 0.04),
+    "mu": ("rate", 0.06),
+    "initial_infected_fraction": ("float", 0.001),
+    "max_steps": ("int", 100_000),
+    "tol": ("float", 1e-9),
+    "omega_strategy": (STRATEGIES, "random"),
+    "omega_count": ("int", None),
+    "omega_fraction": ("float", None),
+    "lambdas": ("rates", None),
+    "betas": ("rates", None),
+    "strategies": ("names", ("degree_top", "random", "degree_bottom")),
+    "fractions": ("rates", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+    "replications": ("int", 10),
+    "tail_window": ("int", 100),
+    "fresh_networks": ("bool", True),
 }
-_RATE_KEYS = {"ws_p", "lambda", "beta_u", "beta_a", "gamma", "delta", "mu"}
-_INT_KEYS = {"n", "ba_m", "ws_k", "max_steps", "replications", "seed", "omega_count", "tail_window"}
-_LIST_KEYS = {"lambdas", "betas", "fractions", "strategies"}
-_STR_KEYS = {"subcommand", "omega_strategy", "awareness_edges", "contact_edges", "out"}
-_BOOL_KEYS = {"fresh_networks"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS | _BOOL_KEYS
-
-_DEFAULTS = {
-    "n": 10000,
-    "ba_m": 4,
-    "ws_k": 4,
-    "ws_p": 0.1,
-    "lambda": 0.5,
-    "gamma": 0.5,
-    "delta": 0.04,
-    "mu": 0.06,
-    "initial_infected_fraction": 0.001,
-    "max_steps": 100_000,
-    "replications": 10,
-    "tail_window": 100,
-    "fresh_networks": True,
-    "tol": 1e-9,
-}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 @dataclass
@@ -82,44 +82,37 @@ class RunConfig:
     jobs: int
     values: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.values.get(key, _DEFAULTS.get(key, default))
+    def get(self, key):
+        return self.values.get(key, _KEYS[key][1])
 
 
 def _parse_value(key: str, raw: str, where: str):
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    kind = _KEYS[key][0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key in _LIST_KEYS:
-            items = [p.strip() for p in raw.split(",") if p.strip()]
-            if key == "strategies":
-                return tuple(items)
-            return tuple(float(p) for p in items)
-        return raw.strip()
-    except ValueError as exc:
+        if kind in ("rate", "float"):
+            value = float(raw)
+        elif kind == "int":
+            value = int(raw)
+        elif kind == "bool":
+            value = _BOOLS[raw.strip().lower()]
+        elif kind in ("rates", "names"):
+            items = tuple(p.strip() for p in raw.split(",") if p.strip())
+            value = items if kind == "names" else tuple(float(p) for p in items)
+        else:
+            value = raw.strip()
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from exc
-
-
-def _check_range(key: str, value, where: str):
-    if key in _RATE_KEYS and not 0.0 <= value <= 1.0:
+    if kind == "rate" and not 0.0 <= value <= 1.0:
         raise ConfigError(f"{where}: {key}={value} outside range [0,1]")
-    if key in ("lambdas", "betas", "fractions"):
+    if kind == "rates":
         for v in value:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{where}: {key} entry {v} outside range [0,1]")
-    if key == "omega_strategy" and value not in STRATEGIES:
-        raise ConfigError(f"{where}: unknown omega_strategy {value!r}")
-    if key == "subcommand" and value not in SUBCOMMANDS:
-        raise ConfigError(f"{where}: unknown subcommand {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{where}: unknown {key} {value!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -144,12 +137,7 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        where = f"{path}:{lineno}"
-        value = _parse_value(key, raw.strip(), where)
-        _check_range(key, value, where)
-        sections[current][key] = value
+        sections[current][key] = _parse_value(key, raw.strip(), f"{path}:{lineno}")
     return sections
 
 
@@ -168,18 +156,10 @@ def parse_config(
     values: dict = {}
     if path is not None:
         sections = _read_config_file(path)
-        for key, value in sections["common"].items():
-            values[key] = value
-        sub = subcommand or values.get("subcommand")
-        if sub and sub in sections:
-            for key, value in sections[sub].items():
-                values[key] = value
+        values.update(sections["common"])
+        values.update(sections.get(subcommand or values.get("subcommand"), {}))
     for key, raw in (overrides or {}).items():
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        value = _parse_value(key, raw, f"--set {key}")
-        _check_range(key, value, f"--set {key}")
-        values[key] = value
+        values[key] = _parse_value(key, raw, f"--set {key}")
     sub = subcommand or values.get("subcommand")
     if not sub:
         raise ConfigError("no subcommand given (command line or config 'subcommand' key)")
@@ -201,29 +181,41 @@ def parse_config(
     )
 
 
-def _dynamics_params(config: RunConfig, lam=None, beta_u=None) -> DynamicsParams:
-    lam = config.get("lambda") if lam is None else lam
-    beta_u = beta_u if beta_u is not None else config.get("beta_u", 0.2)
+def _gamma(config: RunConfig, betas) -> float:
+    """The gamma key, or beta_a / beta_u when beta_a is given with one beta_u."""
     beta_a = config.values.get("beta_a")
-    gamma = beta_a / beta_u if beta_a is not None and beta_u > 0 else config.get("gamma")
+    if beta_a is None:
+        return config.get("gamma")
+    if len(betas) != 1:
+        raise ConfigError(f"beta_a needs exactly one beta_u, got betas={tuple(betas)}")
+    if betas[0] == 0.0:
+        raise ConfigError("beta_a needs beta_u > 0")
+    if beta_a > betas[0]:
+        raise ConfigError(f"beta_a={beta_a} exceeds beta_u={betas[0]}")
+    return beta_a / betas[0]
+
+
+def _dynamics_params(config: RunConfig) -> DynamicsParams:
+    beta_u = config.get("beta_u")
     return DynamicsParams(
-        lam=lam,
+        lam=config.get("lambda"),
         delta=config.get("delta"),
         beta_u=beta_u,
-        gamma=gamma,
+        gamma=_gamma(config, (beta_u,)),
         mu=config.get("mu"),
         initial_infected_fraction=config.get("initial_infected_fraction"),
         max_steps=config.get("max_steps"),
     )
 
 
-def _omega_spec(config: RunConfig, default_strategy="random", default_count=20) -> OmegaSpec:
-    strategy = config.get("omega_strategy", default_strategy)
+def _omega_spec(config: RunConfig, default_count: int) -> OmegaSpec:
     count = config.values.get("omega_count")
     fraction = config.values.get("omega_fraction")
     if count is None and fraction is None:
         count = default_count
-    return OmegaSpec(strategy=strategy, count=count, fraction=fraction, seed=config.seed)
+    return OmegaSpec(
+        strategy=config.get("omega_strategy"), count=count, fraction=fraction, seed=config.seed
+    )
 
 
 def _networks(config: RunConfig):
@@ -238,11 +230,8 @@ def _networks(config: RunConfig):
     )
 
 
-def _experiment_spec(config: RunConfig, lambdas, betas, omega: OmegaSpec) -> ExperimentSpec:
-    beta_a = config.values.get("beta_a")
-    gamma = config.get("gamma")
-    if beta_a is not None and betas and betas[0] > 0:
-        gamma = beta_a / betas[0]
+def _experiment_spec(config: RunConfig, lambdas, betas) -> ExperimentSpec:
+    omega = _omega_spec(config, default_count=20)
     return ExperimentSpec(
         n=config.get("n"),
         ba_m=config.get("ba_m"),
@@ -252,7 +241,7 @@ def _experiment_spec(config: RunConfig, lambdas, betas, omega: OmegaSpec) -> Exp
         betas=tuple(betas),
         delta=config.get("delta"),
         mu=config.get("mu"),
-        gamma=gamma,
+        gamma=_gamma(config, betas),
         initial_infected_fraction=config.get("initial_infected_fraction"),
         omega=omega,
         replications=config.get("replications"),
@@ -281,99 +270,101 @@ def _write_manifest(config: RunConfig, outputs, extra, wall_time):
     return path
 
 
+def _generate(config: RunConfig, out) -> dict:
+    net = _networks(config)
+    write_edge_list(net.awareness_layer, out("awareness.edges"))
+    write_edge_list(net.contact_layer, out("contact.edges"))
+    return {
+        "nodes": net.node_count,
+        "awareness_edges": net.awareness_layer.edge_count,
+        "contact_edges": net.contact_layer.edge_count,
+    }
+
+
+def _mmca_inputs(config: RunConfig):
+    """The multiplex, dynamics parameters and silenced set of threshold and mmca."""
+    net = _networks(config)
+    params = _dynamics_params(config)
+    omega_set = select_omega(_omega_spec(config, default_count=0), net.awareness_layer)
+    return net, params, omega_set
+
+
+def _threshold(config: RunConfig, out) -> dict:
+    net, params, omega_set = _mmca_inputs(config)
+    result = epidemic_threshold(net, params, omega_set=omega_set, tol=config.get("tol"))
+    write_threshold_csv(result, params, out("threshold.csv"))
+    write_fixed_point_csv(result.p_a, out("p_a.csv"))
+    if len(omega_set):
+        write_omega_set(omega_set, out("omega.txt"))
+    return {"beta_c": result.beta_c, "lambda_max_H": result.lambda_max}
+
+
+def _mmca(config: RunConfig, out) -> dict:
+    net, params, omega_set = _mmca_inputs(config)
+    state = mmca_run(net, omega_set, params, tol=config.get("tol"))
+    with open(out("mmca_states.csv"), "w", encoding="ascii") as fh:
+        fh.write("node,p_us,p_as,p_ai,p_ur,p_ar,p_ui\n")
+        for i in range(net.node_count):
+            fh.write(
+                f"{i},{float(state.p_us[i])!r},{float(state.p_as[i])!r},"
+                f"{float(state.p_ai[i])!r},{float(state.p_ur[i])!r},"
+                f"{float(state.p_ar[i])!r},{float(state.p_ui[i])!r}\n"
+            )
+    if len(omega_set):
+        write_omega_set(omega_set, out("omega.txt"))
+    return {**state.rho(), "iterations": state.step}
+
+
+def _experiment_outputs(result, path) -> dict:
+    result.write_csv(path)
+    return {"non_absorbed_runs": result.non_absorbed}
+
+
+def _heatmap(config: RunConfig, out) -> dict:
+    grid = tuple(np.linspace(0.0, 1.0, 21))
+    lambdas = config.values.get("lambdas", grid)
+    spec = _experiment_spec(config, lambdas, config.values.get("betas", grid))
+    return _experiment_outputs(heatmap_experiment(spec, jobs=config.jobs), out("heatmap.csv"))
+
+
+def _timeseries(config: RunConfig, out) -> dict:
+    betas = config.values.get("betas", (0.2, 0.5, 0.8))
+    lam = config.get("lambda")
+    spec = _experiment_spec(config, (lam,), betas)
+    result = timeseries_experiment(spec, lam, betas, jobs=config.jobs)
+    return _experiment_outputs(result, out("timeseries.csv"))
+
+
+def _sweep(config: RunConfig, out) -> dict:
+    spec = _experiment_spec(config, (config.get("lambda"),), (config.get("beta_u"),))
+    result = omega_ratio_sweep(
+        spec, config.get("strategies"), config.get("fractions"), jobs=config.jobs
+    )
+    return _experiment_outputs(result, out("sweep.csv"))
+
+
+_RUNNERS = {
+    "generate": _generate,
+    "threshold": _threshold,
+    "mmca": _mmca,
+    "heatmap": _heatmap,
+    "timeseries": _timeseries,
+    "sweep": _sweep,
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     os.makedirs(config.out_dir, exist_ok=True)
     started = time.monotonic()
     outputs = []
-    extra: dict = {}
-    status = 0
 
     def out(name):
-        p = os.path.join(config.out_dir, name)
         outputs.append(name)
-        return p
+        return os.path.join(config.out_dir, name)
 
-    if config.subcommand == "generate":
-        net = _networks(config)
-        write_edge_list(net.awareness_layer, out("awareness.edges"))
-        write_edge_list(net.contact_layer, out("contact.edges"))
-        extra["nodes"] = net.node_count
-        extra["awareness_edges"] = net.awareness_layer.edge_count
-        extra["contact_edges"] = net.contact_layer.edge_count
-
-    elif config.subcommand == "threshold":
-        net = _networks(config)
-        params = _dynamics_params(config)
-        omega = _omega_spec(config, default_count=0)
-        omega_set = select_omega(omega, net.awareness_layer)
-        result = epidemic_threshold(
-            net, params, omega_set=omega_set, tol=config.get("tol")
-        )
-        write_threshold_csv(result, params, out("threshold.csv"))
-        write_fixed_point_csv(result.p_a, out("p_a.csv"))
-        if len(omega_set):
-            write_omega_set(omega_set, out("omega.txt"))
-        extra["beta_c"] = result.beta_c
-        extra["lambda_max_H"] = result.lambda_max
-
-    elif config.subcommand == "mmca":
-        net = _networks(config)
-        params = _dynamics_params(config)
-        omega = _omega_spec(config, default_count=0)
-        omega_set = select_omega(omega, net.awareness_layer)
-        state = mmca_run(net, omega_set, params, tol=config.get("tol"))
-        with open(out("mmca_states.csv"), "w", encoding="ascii") as fh:
-            fh.write("node,p_us,p_as,p_ai,p_ur,p_ar,p_ui\n")
-            for i in range(net.node_count):
-                fh.write(
-                    f"{i},{float(state.p_us[i])!r},{float(state.p_as[i])!r},"
-                    f"{float(state.p_ai[i])!r},{float(state.p_ur[i])!r},"
-                    f"{float(state.p_ar[i])!r},{float(state.p_ui[i])!r}\n"
-                )
-        if len(omega_set):
-            write_omega_set(omega_set, out("omega.txt"))
-        extra.update(state.rho())
-        extra["iterations"] = state.step
-
-    elif config.subcommand == "heatmap":
-        grid = tuple(np.linspace(0.0, 1.0, 21))
-        lambdas = config.values.get("lambdas", grid)
-        betas = config.values.get("betas", grid)
-        omega = _omega_spec(config)
-        spec = _experiment_spec(config, lambdas, betas, omega)
-        result = heatmap_experiment(spec, jobs=config.jobs)
-        result.write_csv(out("heatmap.csv"))
-        extra["non_absorbed_runs"] = result.non_absorbed
-        if result.non_absorbed:
-            status = 1
-
-    elif config.subcommand == "timeseries":
-        betas = config.values.get("betas", (0.2, 0.5, 0.8))
-        omega = _omega_spec(config)
-        lam = config.get("lambda")
-        spec = _experiment_spec(config, (lam,), betas, omega)
-        result = timeseries_experiment(spec, lam, betas, jobs=config.jobs)
-        result.write_csv(out("timeseries.csv"))
-        extra["non_absorbed_runs"] = result.non_absorbed
-        if result.non_absorbed:
-            status = 1
-
-    elif config.subcommand == "sweep":
-        strategies = config.values.get(
-            "strategies", ("degree_top", "random", "degree_bottom")
-        )
-        fractions = config.values.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
-        lam = config.get("lambda", 0.3)
-        beta_u = config.get("beta_u", 0.2)
-        omega = _omega_spec(config)
-        spec = _experiment_spec(config, (lam,), (beta_u,), omega)
-        result = omega_ratio_sweep(spec, strategies, fractions, jobs=config.jobs)
-        result.write_csv(out("sweep.csv"))
-        extra["non_absorbed_runs"] = result.non_absorbed
-        if result.non_absorbed:
-            status = 1
-
+    extra = _RUNNERS[config.subcommand](config, out)
+    status = 1 if extra.get("non_absorbed_runs") else 0
     extra["status"] = "ok" if status == 0 else "partial"
     _write_manifest(config, outputs, extra, round(time.monotonic() - started, 3))
     return status
@@ -417,14 +408,13 @@ def main(argv=None) -> int:
             seed=args.seed,
             jobs=args.jobs,
         )
+        return run(config)
     except ConfigError as exc:
         print(f"muxepi: config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except MuxepiError as exc:
         print(f"muxepi: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidArgumentError) else 1
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams, Trajectory, run_to_absorption
+from .dynamics import DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError
-from .graph import MultiplexNetwork, build_multiplex, generate_ba, generate_ws
+from .graph import build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
 
 __all__ = [
@@ -67,6 +68,8 @@ class ExperimentSpec:
                     raise InvalidArgumentError(f"{name} entry {v} outside [0,1]")
         if self.replications < 1:
             raise InvalidArgumentError("replications must be >= 1")
+        if self.tail_window < 0:
+            raise InvalidArgumentError("tail_window must be >= 0")
 
     def params(self, lam: float, beta_u: float) -> DynamicsParams:
         return DynamicsParams(
@@ -92,41 +95,58 @@ def _seed_int(master_seed: int, *key) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
 
 
-def _build_network(spec: ExperimentSpec, kind: int, cell: int, rep: int) -> MultiplexNetwork:
+class _Record(NamedTuple):
+    """One (cell, replication) run: its curves, tail awareness and absorption."""
+
+    rho_r: np.ndarray
+    rho_a: np.ndarray
+    tail_rho_a: float
+    absorbed: bool
+
+
+def _run_task(task) -> _Record:
+    """Build one replication's multiplex and silenced set, then run it to absorption."""
+    spec, kind, cell, rep, omega, lam, beta_u = task
     key = (kind, cell, rep if spec.fresh_networks else 0)
-    return build_multiplex(
+    net = build_multiplex(
         generate_ba(spec.n, spec.ba_m, seed=_seed_rng(spec.master_seed, *key, _NS_BA)),
         generate_ws(spec.n, spec.ws_k, spec.ws_p, seed=_seed_rng(spec.master_seed, *key, _NS_WS)),
     )
-
-
-def _resolve_omega(spec: ExperimentSpec, omega: OmegaSpec, net, kind, cell, rep):
     if omega.strategy == "random":
-        rep_key = rep if spec.fresh_networks else 0
-        omega = replace(omega, seed=_seed_int(spec.master_seed, kind, cell, rep_key, _NS_OMEGA))
-    return select_omega(omega, net.awareness_layer)
-
-
-def _run_one(args) -> Trajectory:
-    spec, omega, lam, beta_u, kind, cell, rep = args
-    net = _build_network(spec, kind, cell, rep)
-    omega_set = _resolve_omega(spec, omega, net, kind, cell, rep)
-    rng = _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS)
-    return run_to_absorption(
-        net, omega_set, spec.params(lam, beta_u), rng, tail_window=spec.tail_window
+        omega = replace(omega, seed=_seed_int(spec.master_seed, *key, _NS_OMEGA))
+    traj = run_to_absorption(
+        net,
+        select_omega(omega, net.awareness_layer),
+        spec.params(lam, beta_u),
+        _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
+        tail_window=spec.tail_window,
     )
+    rho = np.array([(c.rho_r, c.rho_a) for c in traj.steps])
+    return _Record(rho[:, 0], rho[:, 1], traj.mean_tail_rho_a, traj.absorbed)
 
 
-def _run_one_summary(args):
-    traj = _run_one(args)
-    return traj.final_rho_r, traj.mean_tail_rho_a, traj.absorbed
+def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[_Record]]:
+    """Each cell's replication records, in cell order.
 
-
-def _map_tasks(fn, tasks, jobs: int):
+    A cell is (omega, lambda, beta_u); its index in `cells` is the cell part
+    of its spawn keys.
+    """
+    reps = spec.replications
+    tasks = [(spec, kind, cell, rep, *c) for cell, c in enumerate(cells) for rep in range(reps)]
     if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
+        records = [_run_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(_run_task, tasks, chunksize=1))
+    return [records[i : i + reps] for i in range(0, len(records), reps)]
+
+
+def _finals(records) -> list[float]:
+    return [float(r.rho_r[-1]) for r in records]
+
+
+def _non_absorbed(grid) -> int:
+    return sum(not r.absorbed for records in grid for r in records)
 
 
 def average_replications(values):
@@ -157,6 +177,14 @@ def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _write_csv(path, spec: ExperimentSpec, columns: str, rows) -> None:
+    """The spec header, then the columns and each row with the replication count appended."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# muxepi v{__version__} spec={spec.serialize()}\n{columns},replications\n")
+        for row in rows:
+            fh.write(f"{row},{spec.replications}\n")
+
+
 @dataclass
 class HeatmapResult:
     spec: ExperimentSpec
@@ -167,47 +195,28 @@ class HeatmapResult:
     non_absorbed: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# muxepi v{__version__} spec={self.spec.serialize()}\n")
-            fh.write("lambda,beta_u,mean_rho_r,std_rho_r,replications\n")
-            for i, lam in enumerate(self.lambdas):
-                for j, beta in enumerate(self.betas):
-                    fh.write(
-                        f"{float(lam)!r},{float(beta)!r},{float(self.mean_rho_r[i, j])!r},"
-                        f"{float(self.std_rho_r[i, j])!r},{self.spec.replications}\n"
-                    )
+        rows = (
+            f"{float(lam)!r},{float(beta)!r},{float(self.mean_rho_r[i, j])!r},"
+            f"{float(self.std_rho_r[i, j])!r}"
+            for i, lam in enumerate(self.lambdas)
+            for j, beta in enumerate(self.betas)
+        )
+        _write_csv(path, self.spec, "lambda,beta_u,mean_rho_r,std_rho_r", rows)
 
 
 def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> HeatmapResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
-    tasks = []
-    for i, lam in enumerate(spec.lambdas):
-        for j, beta in enumerate(spec.betas):
-            cell = i * len(spec.betas) + j
-            for rep in range(spec.replications):
-                tasks.append((spec, spec.omega, lam, beta, _KIND_HEATMAP, cell, rep))
-    results = _map_tasks(_run_one_summary, tasks, jobs)
+    cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
+    grid = _run_grid(spec, _KIND_HEATMAP, cells, jobs)
+    stats = np.array([average_replications(_finals(records)) for records in grid])
     shape = (len(spec.lambdas), len(spec.betas))
-    mean = np.zeros(shape)
-    std = np.zeros(shape)
-    non_absorbed = 0
-    idx = 0
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            cell_vals = []
-            for _ in range(spec.replications):
-                rho_r, _, absorbed = results[idx]
-                cell_vals.append(rho_r)
-                non_absorbed += not absorbed
-                idx += 1
-            mean[i, j], std[i, j] = average_replications(cell_vals)
     return HeatmapResult(
         spec=spec,
         lambdas=np.asarray(spec.lambdas, dtype=np.float64),
         betas=np.asarray(spec.betas, dtype=np.float64),
-        mean_rho_r=mean,
-        std_rho_r=std,
-        non_absorbed=non_absorbed,
+        mean_rho_r=stats[:, 0].reshape(shape),
+        std_rho_r=stats[:, 1].reshape(shape),
+        non_absorbed=_non_absorbed(grid),
     )
 
 
@@ -224,17 +233,12 @@ class TimeseriesResult:
     non_absorbed: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# muxepi v{__version__} spec={self.spec.serialize()}\n")
-            fh.write("beta_u,step,rho_R,rho_A,replications\n")
-            for beta in self.betas:
-                rr = self.mean_rho_r[beta]
-                ra = self.mean_rho_a[beta]
-                for t in range(len(rr)):
-                    fh.write(
-                        f"{float(beta)!r},{t},{float(rr[t])!r},{float(ra[t])!r},"
-                        f"{self.spec.replications}\n"
-                    )
+        rows = (
+            f"{float(beta)!r},{t},{float(rr)!r},{float(ra)!r}"
+            for beta in self.betas
+            for t, (rr, ra) in enumerate(zip(self.mean_rho_r[beta], self.mean_rho_a[beta]))
+        )
+        _write_csv(path, self.spec, "beta_u,step,rho_R,rho_A", rows)
 
 
 def timeseries_experiment(
@@ -242,30 +246,14 @@ def timeseries_experiment(
 ) -> TimeseriesResult:
     """Replication-averaged rho_R(t) / rho_A(t) curves for each beta_u."""
     betas = tuple(betas)
-    tasks = []
-    for j, beta in enumerate(betas):
-        for rep in range(spec.replications):
-            tasks.append((spec, spec.omega, lam, beta, _KIND_TIMESERIES, j, rep))
-    trajectories = _map_tasks(_run_one, tasks, jobs)
+    grid = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, beta) for beta in betas], jobs)
     mean_rr, mean_ra, finals, tails, plateaus = {}, {}, {}, {}, {}
-    non_absorbed = 0
-    idx = 0
-    for beta in betas:
-        rr_curves, ra_curves = [], []
-        finals[beta], tails[beta], plateaus[beta] = [], [], []
-        for _ in range(spec.replications):
-            traj = trajectories[idx]
-            idx += 1
-            non_absorbed += not traj.absorbed
-            rr = np.array([c.rho_r for c in traj.steps])
-            ra = np.array([c.rho_a for c in traj.steps])
-            rr_curves.append(rr)
-            ra_curves.append(ra)
-            finals[beta].append(traj.final_rho_r)
-            tails[beta].append(traj.mean_tail_rho_a)
-            plateaus[beta].append(plateau_step(rr))
-        mean_rr[beta] = _pad_forward(rr_curves).mean(axis=0)
-        mean_ra[beta] = _pad_forward(ra_curves).mean(axis=0)
+    for beta, records in zip(betas, grid):
+        mean_rr[beta] = _pad_forward([r.rho_r for r in records]).mean(axis=0)
+        mean_ra[beta] = _pad_forward([r.rho_a for r in records]).mean(axis=0)
+        finals[beta] = _finals(records)
+        tails[beta] = [r.tail_rho_a for r in records]
+        plateaus[beta] = [plateau_step(r.rho_r) for r in records]
     return TimeseriesResult(
         spec=spec,
         lam=lam,
@@ -275,7 +263,7 @@ def timeseries_experiment(
         final_rho_r=finals,
         tail_rho_a=tails,
         plateau_steps=plateaus,
-        non_absorbed=non_absorbed,
+        non_absorbed=_non_absorbed(grid),
     )
 
 
@@ -292,15 +280,13 @@ class SweepResult:
         return np.array([self.mean_rho_r[(strategy, f)] for f in self.fractions])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# muxepi v{__version__} spec={self.spec.serialize()}\n")
-            fh.write("strategy,fraction,mean_rho_r,std_rho_r,replications\n")
-            for strat in self.strategies:
-                for frac in self.fractions:
-                    fh.write(
-                        f"{strat},{float(frac)!r},{float(self.mean_rho_r[(strat, frac)])!r},"
-                        f"{float(self.std_rho_r[(strat, frac)])!r},{self.spec.replications}\n"
-                    )
+        rows = (
+            f"{strat},{float(frac)!r},{float(self.mean_rho_r[(strat, frac)])!r},"
+            f"{float(self.std_rho_r[(strat, frac)])!r}"
+            for strat in self.strategies
+            for frac in self.fractions
+        )
+        _write_csv(path, self.spec, "strategy,fraction,mean_rho_r,std_rho_r", rows)
 
 
 def omega_ratio_sweep(
@@ -312,35 +298,16 @@ def omega_ratio_sweep(
     """
     strategies = tuple(strategies)
     fractions = tuple(fractions)
-    lam = spec.lambdas[0]
-    beta = spec.betas[0]
-    tasks = []
-    for si, strat in enumerate(strategies):
-        for fi, frac in enumerate(fractions):
-            if not 0.0 <= frac <= 1.0:
-                raise InvalidArgumentError(f"fraction {frac} outside [0,1]")
-            omega = OmegaSpec(strategy=strat, fraction=frac, seed=spec.omega.seed)
-            cell = si * len(fractions) + fi
-            for rep in range(spec.replications):
-                tasks.append((spec, omega, lam, beta, _KIND_SWEEP, cell, rep))
-    results = _map_tasks(_run_one_summary, tasks, jobs)
-    mean, std = {}, {}
-    non_absorbed = 0
-    idx = 0
-    for strat in strategies:
-        for frac in fractions:
-            vals = []
-            for _ in range(spec.replications):
-                rho_r, _, absorbed = results[idx]
-                vals.append(rho_r)
-                non_absorbed += not absorbed
-                idx += 1
-            mean[(strat, frac)], std[(strat, frac)] = average_replications(vals)
+    lam, beta = spec.lambdas[0], spec.betas[0]
+    keys = [(strat, frac) for strat in strategies for frac in fractions]
+    cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]
+    grid = _run_grid(spec, _KIND_SWEEP, cells, jobs)
+    stats = [average_replications(_finals(records)) for records in grid]
     return SweepResult(
         spec=spec,
         strategies=strategies,
         fractions=fractions,
-        mean_rho_r=mean,
-        std_rho_r=std,
-        non_absorbed=non_absorbed,
+        mean_rho_r={k: m for k, (m, _) in zip(keys, stats)},
+        std_rho_r={k: sd for k, (_, sd) in zip(keys, stats)},
+        non_absorbed=_non_absorbed(grid),
     )

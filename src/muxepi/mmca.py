@@ -19,7 +19,6 @@ from .graph import Graph, MultiplexNetwork
 
 __all__ = [
     "MmcaState",
-    "HMatrix",
     "ThresholdResult",
     "init_mmca",
     "mmca_rates",
@@ -78,20 +77,6 @@ class MmcaState:
             "rho_r": float(np.mean(self.p_r)),
             "rho_a": float(np.mean(self.p_a)),
         }
-
-
-@dataclass
-class HMatrix:
-    """Contact adjacency with rows damped by each node's awareness coverage."""
-
-    matrix: sparse.csr_matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -244,7 +229,7 @@ def uau_steady_state(
     )
 
 
-def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> HMatrix:
+def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> sparse.csr_matrix:
     """Row i of the contact adjacency scaled by 1 - (1-gamma) * p_a[i].
 
     Stored sparse; the zero pattern is exactly the contact adjacency.
@@ -255,7 +240,7 @@ def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> HMatrix:
     factors = 1.0 - (1.0 - gamma) * p_a
     b_mat = contact.adjacency()
     h = sparse.diags(factors) @ b_mat.T
-    return HMatrix(matrix=sparse.csr_matrix(h))
+    return sparse.csr_matrix(h)
 
 
 def leading_eigenvalue(
@@ -271,8 +256,6 @@ def leading_eigenvalue(
     oscillation (e.g. bipartite adjacency) the iteration retries on m + I and
     subtracts the shift.
     """
-    if isinstance(m, HMatrix):
-        m = m.matrix
     n = m.shape[0]
     if n == 0:
         raise InvalidArgumentError("empty matrix")

@@ -96,8 +96,45 @@ class TestMainErrors:
             "threshold", "--out", str(out),
             "--set", f"awareness_edges={bad}", "--set", f"contact_edges={bad}",
         ])
-        assert rc != 0
+        assert rc == 2
         assert f"{bad}:3: expected 'i j'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["threshold", "--set", "beta_u=0.1", "--set", "beta_a=0.5"], "beta_a"),
+            (["generate", "--set", "ws_k=5"], "k must be even"),
+            (["threshold", "--set", "omega_count=61"], "count 61 exceeds 60"),
+            (["heatmap", "--set", "replications=0", "--set", "betas=0.2"], "replications"),
+            (["threshold", "--set", "tol=0"], "tol"),
+            (["sweep", "--set", "tail_window=-3", "--set", "replications=1"], "tail_window"),
+        ],
+        ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
+             "zero_tol", "negative_tail_window"],
+    )
+    def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
+        rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["heatmap", "--set", "betas=0.0,0.2", "--set", "lambdas=0.5"], "exactly one beta_u"),
+            (["timeseries"], "exactly one beta_u"),
+            (["sweep", "--set", "beta_u=0"], "beta_u > 0"),
+            (["threshold", "--set", "beta_u=0"], "beta_u > 0"),
+            (["mmca", "--set", "beta_u=0.05"], "exceeds beta_u"),
+        ],
+        ids=["heatmap_beta_grid", "timeseries_default_betas", "sweep_zero_beta_u",
+             "threshold_zero_beta_u", "mmca_beta_a_above_beta_u"],
+    )
+    def test_beta_a_conflict_rejected(self, argv, message, tmp_path, capsys):
+        rc = main(argv + ["--out", str(tmp_path), "--set", "n=60", "--set", "beta_a=0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: beta_a" in err and message in err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestGenerate:
@@ -152,6 +189,16 @@ class TestThreshold:
         ])
         assert rc == 0
         assert (out / "threshold.csv").exists()
+
+
+    def test_beta_a_sets_gamma_for_one_beta_u(self, tmp_path):
+        out = tmp_path / "thr"
+        rc = main([
+            "threshold", "--out", str(out),
+            "--set", "n=60", "--set", "beta_u=0.4", "--set", "beta_a=0.1",
+        ])
+        assert rc == 0
+        assert (out / "threshold.csv").read_text().splitlines()[1].startswith("0.25,")
 
 
 class TestMmca:

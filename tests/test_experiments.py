@@ -95,13 +95,20 @@ class TestHeatmap:
 
     def test_reproducible_and_worker_independent(self, tmp_path):
         spec = small_spec()
-        paths = []
-        for i, jobs in enumerate((1, 1, 2)):
-            res = heatmap_experiment(spec, jobs=jobs)
-            p = tmp_path / f"hm{i}.csv"
-            res.write_csv(p)
-            paths.append(p.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
+        drivers = {
+            "heatmap": lambda jobs: heatmap_experiment(spec, jobs=jobs),
+            "timeseries": lambda jobs: timeseries_experiment(spec, 0.5, [0.2, 0.6], jobs=jobs),
+            "sweep": lambda jobs: omega_ratio_sweep(
+                spec, ["random", "degree_top"], [0.0, 0.2], jobs=jobs
+            ),
+        }
+        for name, driver in drivers.items():
+            paths = []
+            for i, jobs in enumerate((1, 1, 2)):
+                p = tmp_path / f"{name}{i}.csv"
+                driver(jobs).write_csv(p)
+                paths.append(p.read_bytes())
+            assert paths[0] == paths[1] == paths[2], name
 
     def test_csv_format(self, tmp_path):
         spec = small_spec()

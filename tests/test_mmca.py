@@ -4,7 +4,6 @@ import pytest
 from muxepi import (
     DynamicsParams,
     Graph,
-    HMatrix,
     InvalidArgumentError,
     MmcaState,
     NonConvergenceError,
