@@ -18,7 +18,6 @@ from .graph import (
 from .selection import STRATEGIES, OmegaSpec, select_omega
 from .dynamics import (
     DynamicsParams,
-    StateCounts,
     StateVector,
     Trajectory,
     counts,

@@ -27,12 +27,7 @@ from .experiments import (
     timeseries_experiment,
 )
 from .graph import build_multiplex, generate_ba, generate_ws, read_edge_list, write_edge_list
-from .mmca import (
-    epidemic_threshold,
-    mmca_run,
-    write_fixed_point_csv,
-    write_threshold_csv,
-)
+from .mmca import COMPONENTS, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv
 from .selection import STRATEGIES, OmegaSpec, select_omega, write_omega_set
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
@@ -293,7 +288,7 @@ def _threshold(config: RunConfig, out) -> dict:
     net, params, omega_set = _mmca_inputs(config)
     result = epidemic_threshold(net, params, omega_set=omega_set, tol=config.get("tol"))
     write_threshold_csv(result, params, out("threshold.csv"))
-    write_fixed_point_csv(result.p_a, out("p_a.csv"))
+    write_node_csv(out("p_a.csv"), ("p_a",), (result.p_a,))
     if len(omega_set):
         write_omega_set(omega_set, out("omega.txt"))
     return {"beta_c": result.beta_c, "lambda_max_H": result.lambda_max}
@@ -302,14 +297,7 @@ def _threshold(config: RunConfig, out) -> dict:
 def _mmca(config: RunConfig, out) -> dict:
     net, params, omega_set = _mmca_inputs(config)
     state = mmca_run(net, omega_set, params, tol=config.get("tol"))
-    with open(out("mmca_states.csv"), "w", encoding="ascii") as fh:
-        fh.write("node,p_us,p_as,p_ai,p_ur,p_ar,p_ui\n")
-        for i in range(net.node_count):
-            fh.write(
-                f"{i},{float(state.p_us[i])!r},{float(state.p_as[i])!r},"
-                f"{float(state.p_ai[i])!r},{float(state.p_ur[i])!r},"
-                f"{float(state.p_ar[i])!r},{float(state.p_ui[i])!r}\n"
-            )
+    write_node_csv(out("mmca_states.csv"), COMPONENTS, [getattr(state, c) for c in COMPONENTS])
     if len(omega_set):
         write_omega_set(omega_set, out("omega.txt"))
     return {**state.rho(), "iterations": state.step}

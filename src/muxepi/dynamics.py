@@ -17,20 +17,20 @@ from .errors import InvalidArgumentError
 from .graph import MultiplexNetwork
 
 S, I, R = 0, 1, 2
+A = 3  # column of the aware fraction in a trajectory row, next to S, I, R
 
 __all__ = [
     "S",
     "I",
     "R",
+    "A",
     "DynamicsParams",
     "StateVector",
-    "StateCounts",
     "Trajectory",
     "init_states",
     "mc_step",
     "run_to_absorption",
     "counts",
-    "write_trajectory_csv",
 ]
 
 
@@ -72,13 +72,6 @@ class DynamicsParams:
     def beta_a(self) -> float:
         return self.gamma * self.beta_u
 
-    @classmethod
-    def from_betas(cls, *, lam, delta, beta_u, beta_a, mu, **kwargs):
-        """Build from an explicit (beta_u, beta_a) pair; gamma is their ratio."""
-        if beta_u <= 0.0:
-            raise InvalidArgumentError("beta_u must be > 0 to derive gamma")
-        return cls(lam=lam, delta=delta, beta_u=beta_u, gamma=beta_a / beta_u, mu=mu, **kwargs)
-
 
 @dataclass
 class StateVector:
@@ -97,28 +90,18 @@ class StateVector:
         return StateVector(self.disease.copy(), self.aware.copy(), self.omega, self.step)
 
 
-@dataclass(frozen=True)
-class StateCounts:
-    """Exact population fractions at one step (integer tallies over N)."""
-
-    rho_s: float
-    rho_i: float
-    rho_r: float
-    rho_a: float
-
-
 @dataclass
 class Trajectory:
-    """Per-step counts of one realization, plus absorption bookkeeping."""
+    """Per-step fractions of one realization, plus absorption bookkeeping."""
 
-    steps: list[StateCounts]
+    steps: np.ndarray  # (T, 4) float64; row t holds the S, I, R and A fractions
     absorbed: bool
     absorption_step: int | None
     tail_window: int
 
     @property
     def final_rho_r(self) -> float:
-        return self.steps[-1].rho_r
+        return float(self.steps[-1, R])
 
     @property
     def mean_tail_rho_a(self) -> float:
@@ -127,9 +110,8 @@ class Trajectory:
         Falls back to the last recorded value when the run never absorbed.
         """
         if self.absorbed and self.tail_window > 0:
-            tail = self.steps[-self.tail_window :]
-            return float(np.mean([c.rho_a for c in tail]))
-        return self.steps[-1].rho_a
+            return float(np.mean(self.steps[-self.tail_window :, A]))
+        return float(self.steps[-1, A])
 
 
 def omega_mask(n: int, omega_set) -> np.ndarray:
@@ -214,14 +196,11 @@ def mc_step(
     )
 
 
-def counts(states: StateVector) -> StateCounts:
-    n = states.node_count
-    return StateCounts(
-        rho_s=float(np.count_nonzero(states.disease == S)) / n,
-        rho_i=float(np.count_nonzero(states.disease == I)) / n,
-        rho_r=float(np.count_nonzero(states.disease == R)) / n,
-        rho_a=float(np.count_nonzero(states.aware)) / n,
-    )
+def counts(states: StateVector) -> np.ndarray:
+    """The S, I, R and A fractions: exact integer tallies over N."""
+    disease = states.disease
+    tallies = [np.count_nonzero(disease == c) for c in (S, I, R)]
+    return np.array([*tallies, np.count_nonzero(states.aware)]) / states.node_count
 
 
 def run_to_absorption(
@@ -250,18 +229,8 @@ def run_to_absorption(
             sv = mc_step(sv, net, params, rng)
             history.append(counts(sv))
     return Trajectory(
-        steps=history,
+        steps=np.array(history),
         absorbed=absorbed,
         absorption_step=absorption_step,
         tail_window=tail_window,
     )
-
-
-def write_trajectory_csv(traj: Trajectory, path, replication_id: int = 0, seed=0) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("step,rho_S,rho_I,rho_R,rho_A,replication_id,seed\n")
-        for t, c in enumerate(traj.steps):
-            fh.write(
-                f"{t},{c.rho_s!r},{c.rho_i!r},{c.rho_r!r},{c.rho_a!r},"
-                f"{replication_id},{seed}\n"
-            )

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams, run_to_absorption
+from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
 from .errors import InvalidArgumentError
 from .graph import build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
@@ -95,16 +94,7 @@ def _seed_int(master_seed: int, *key) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
 
 
-class _Record(NamedTuple):
-    """One (cell, replication) run: its curves, tail awareness and absorption."""
-
-    rho_r: np.ndarray
-    rho_a: np.ndarray
-    tail_rho_a: float
-    absorbed: bool
-
-
-def _run_task(task) -> _Record:
+def _run_task(task) -> Trajectory:
     """Build one replication's multiplex and silenced set, then run it to absorption."""
     spec, kind, cell, rep, omega, lam, beta_u = task
     key = (kind, cell, rep if spec.fresh_networks else 0)
@@ -114,19 +104,17 @@ def _run_task(task) -> _Record:
     )
     if omega.strategy == "random":
         omega = replace(omega, seed=_seed_int(spec.master_seed, *key, _NS_OMEGA))
-    traj = run_to_absorption(
+    return run_to_absorption(
         net,
         select_omega(omega, net.awareness_layer),
         spec.params(lam, beta_u),
         _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
         tail_window=spec.tail_window,
     )
-    rho = np.array([(c.rho_r, c.rho_a) for c in traj.steps])
-    return _Record(rho[:, 0], rho[:, 1], traj.mean_tail_rho_a, traj.absorbed)
 
 
-def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[_Record]]:
-    """Each cell's replication records, in cell order.
+def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[Trajectory]]:
+    """Each cell's replication trajectories, in cell order.
 
     A cell is (omega, lambda, beta_u); its index in `cells` is the cell part
     of its spawn keys.
@@ -134,19 +122,15 @@ def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[_R
     reps = spec.replications
     tasks = [(spec, kind, cell, rep, *c) for cell, c in enumerate(cells) for rep in range(reps)]
     if jobs <= 1:
-        records = [_run_task(t) for t in tasks]
+        trajs = [_run_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=1))
-    return [records[i : i + reps] for i in range(0, len(records), reps)]
-
-
-def _finals(records) -> list[float]:
-    return [float(r.rho_r[-1]) for r in records]
+            trajs = list(pool.map(_run_task, tasks, chunksize=1))
+    return [trajs[i : i + reps] for i in range(0, len(trajs), reps)]
 
 
 def _non_absorbed(grid) -> int:
-    return sum(not r.absorbed for records in grid for r in records)
+    return sum(not t.absorbed for trajs in grid for t in trajs)
 
 
 def average_replications(values):
@@ -208,7 +192,7 @@ def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> HeatmapResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
     cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
     grid = _run_grid(spec, _KIND_HEATMAP, cells, jobs)
-    stats = np.array([average_replications(_finals(records)) for records in grid])
+    stats = np.array([average_replications([t.final_rho_r for t in trajs]) for trajs in grid])
     shape = (len(spec.lambdas), len(spec.betas))
     return HeatmapResult(
         spec=spec,
@@ -248,12 +232,12 @@ def timeseries_experiment(
     betas = tuple(betas)
     grid = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, beta) for beta in betas], jobs)
     mean_rr, mean_ra, finals, tails, plateaus = {}, {}, {}, {}, {}
-    for beta, records in zip(betas, grid):
-        mean_rr[beta] = _pad_forward([r.rho_r for r in records]).mean(axis=0)
-        mean_ra[beta] = _pad_forward([r.rho_a for r in records]).mean(axis=0)
-        finals[beta] = _finals(records)
-        tails[beta] = [r.tail_rho_a for r in records]
-        plateaus[beta] = [plateau_step(r.rho_r) for r in records]
+    for beta, trajs in zip(betas, grid):
+        mean_rr[beta] = _pad_forward([t.steps[:, R] for t in trajs]).mean(axis=0)
+        mean_ra[beta] = _pad_forward([t.steps[:, A] for t in trajs]).mean(axis=0)
+        finals[beta] = [t.final_rho_r for t in trajs]
+        tails[beta] = [t.mean_tail_rho_a for t in trajs]
+        plateaus[beta] = [plateau_step(t.steps[:, R]) for t in trajs]
     return TimeseriesResult(
         spec=spec,
         lam=lam,
@@ -302,7 +286,7 @@ def omega_ratio_sweep(
     keys = [(strat, frac) for strat in strategies for frac in fractions]
     cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]
     grid = _run_grid(spec, _KIND_SWEEP, cells, jobs)
-    stats = [average_replications(_finals(records)) for records in grid]
+    stats = [average_replications([t.final_rho_r for t in trajs]) for trajs in grid]
     return SweepResult(
         spec=spec,
         strategies=strategies,

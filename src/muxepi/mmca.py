@@ -29,8 +29,12 @@ __all__ = [
     "leading_eigenvalue",
     "epidemic_threshold",
     "write_threshold_csv",
-    "write_fixed_point_csv",
+    "write_node_csv",
+    "COMPONENTS",
 ]
+
+# The joint-state components of MmcaState, in the column order of mmca_states.csv.
+COMPONENTS = ("p_us", "p_as", "p_ai", "p_ur", "p_ar", "p_ui")
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -190,7 +194,7 @@ def mmca_run(
         nxt = mmca_step(state, net, params)
         change = max(
             float(np.max(np.abs(getattr(nxt, c) - getattr(state, c))))
-            for c in ("p_us", "p_as", "p_ai", "p_ur", "p_ar", "p_ui")
+            for c in COMPONENTS
         )
         state = nxt
         if change < tol:
@@ -321,8 +325,10 @@ def write_threshold_csv(result: ThresholdResult, params: DynamicsParams, path) -
         )
 
 
-def write_fixed_point_csv(p_a: np.ndarray, path) -> None:
+def write_node_csv(path, names, columns) -> None:
+    """A `node,<names>` header, then one row per node of each column's float repr."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("node,p_a\n")
-        for i, v in enumerate(p_a):
-            fh.write(f"{i},{float(v)!r}\n")
+        fh.write(",".join(("node", *names)) + "\n")
+        rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+        for i, row in enumerate(rows):
+            fh.write(f"{i},{','.join(map(repr, row))}\n")

@@ -44,6 +44,20 @@ def default_params(**kwargs):
     return DynamicsParams(**base)
 
 
+def mmca_rho_r(spec, cells):
+    """MMCA rho_R for each (omega spec, lambda, beta_u) cell, all on one
+    multiplex built with the spec's generators; only printed next to MC."""
+    net = build_multiplex(
+        generate_ba(spec.n, spec.ba_m, seed=spec.master_seed),
+        generate_ws(spec.n, spec.ws_k, spec.ws_p, seed=spec.master_seed + 1),
+    )
+    return [
+        mmca_run(net, select_omega(omega, net.awareness_layer), spec.params(lam, beta))
+        .rho()["rho_r"]
+        for omega, lam, beta in cells
+    ]
+
+
 def test_criterion_1_threshold_closed_form():
     started = time.monotonic()
     n = 2000
@@ -139,13 +153,15 @@ def test_criterion_6_onset_and_suppression():
     ok_a = low < 0.02 and high > 0.3
     ok_b = suppression >= 0.1
     ok = ok_a and ok_b and elapsed < 600.0
+    mmca_low_l, mmca_high_l = mmca_rho_r(spec, [(spec.omega, 0.1, 0.9), (spec.omega, 0.9, 0.9)])
     report(
         6,
         ok,
         f"(a) onset {'ok' if ok_a else 'violated'}: rho_R(beta=0.05)={low:.4f}, "
         f"rho_R(beta=0.3)={high:.3f}; (b) suppression {'ok' if ok_b else 'violated'}: "
-        f"rho_R(l=0.1)-rho_R(l=0.9) at beta=0.9 = {suppression:.4f} (need >=0.1); "
-        f"{elapsed:.0f}s",
+        f"rho_R(l=0.1)-rho_R(l=0.9) at beta=0.9 = {suppression:.4f} (need >=0.1), "
+        f"MC rho_R {res.mean_rho_r[0, 2]:.4f} vs MMCA {mmca_low_l:.4f} at l=0.1, "
+        f"MC {res.mean_rho_r[2, 2]:.4f} vs MMCA {mmca_high_l:.4f} at l=0.9; {elapsed:.0f}s",
     )
     assert ok_a
     assert ok_b
@@ -181,11 +197,14 @@ def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
     ok_finals = top_final >= 0.8 and bottom_final <= 0.45
     ok_plateaus = top_plateau < 120 and bottom_plateau > 150
     ok = ok_finals and ok_plateaus
+    mmca_top, mmca_bottom = mmca_rho_r(
+        top.spec, [(top.spec.omega, 0.5, 0.8), (bottom.spec.omega, 0.5, 0.8)]
+    )
     report(
         7,
         ok,
-        f"final rho_R: degree_top={top_final:.3f} (need >=0.8), "
-        f"degree_bottom={bottom_final:.3f} (need <=0.45); plateau steps: "
+        f"final rho_R: degree_top={top_final:.3f} (need >=0.8; MMCA {mmca_top:.4f}), "
+        f"degree_bottom={bottom_final:.3f} (need <=0.45; MMCA {mmca_bottom:.4f}); plateau steps: "
         f"degree_top={top_plateau:.0f} (need <120), "
         f"degree_bottom={bottom_plateau:.0f} (need >150)",
     )

@@ -13,7 +13,7 @@ from muxepi import (
     mc_step,
     run_to_absorption,
 )
-from muxepi.dynamics import I, R, S, StateVector, write_trajectory_csv
+from muxepi.dynamics import A, I, R, S, StateVector
 from oracles import two_node_chain_marginals
 
 
@@ -33,10 +33,6 @@ class TestParams:
     def test_beta_a_is_derived(self):
         p = default_params(beta_u=0.4, gamma=0.25)
         assert p.beta_a == pytest.approx(0.1)
-
-    def test_from_betas(self):
-        p = DynamicsParams.from_betas(lam=0.5, delta=0.04, beta_u=0.4, beta_a=0.1, mu=0.06)
-        assert p.gamma == pytest.approx(0.25)
 
     @pytest.mark.parametrize("bad", [dict(lam=1.5), dict(beta_u=-0.1), dict(gamma=2.0)])
     def test_rejects_out_of_range(self, bad):
@@ -237,9 +233,10 @@ class TestRunToAbsorption:
         params = default_params(initial_infected_fraction=0.01)
         traj = run_to_absorption(net, [1, 2], params, np.random.default_rng(20))
         assert traj.absorbed
-        assert traj.steps[-1].rho_i == 0.0
-        for c in traj.steps:
-            assert c.rho_s + c.rho_i + c.rho_r == pytest.approx(1.0, abs=1e-12)
+        assert traj.steps.shape == (traj.absorption_step + 1 + 100, 4)
+        assert traj.steps[-1, I] == 0.0
+        for row in traj.steps:
+            assert row[S] + row[I] + row[R] == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_appended_after_absorption(self):
         net = small_net()
@@ -252,15 +249,30 @@ class TestRunToAbsorption:
                          np.array([False, True, False, True]),
                          np.zeros(4, dtype=bool))
         c = counts(sv)
-        assert (c.rho_s, c.rho_i, c.rho_r, c.rho_a) == (0.25, 0.25, 0.5, 0.5)
+        assert c.dtype == np.float64
+        assert (c[S], c[I], c[R], c[A]) == (0.25, 0.25, 0.5, 0.5)
 
-    def test_trajectory_csv(self, tmp_path):
-        net = small_net(50, seed=6)
-        traj = run_to_absorption(net, [], default_params(), np.random.default_rng(22),
-                                 tail_window=5)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, replication_id=3, seed=22)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,rho_S,rho_I,rho_R,rho_A,replication_id,seed"
-        assert len(lines) == 1 + len(traj.steps)
-        assert lines[1].startswith("0,") and lines[1].endswith(",3,22")
+
+class TestMeanTailRhoA:
+    def test_absorbed_run_averages_the_tail(self):
+        net = small_net()
+        traj = run_to_absorption(net, [], default_params(), np.random.default_rng(21),
+                                 tail_window=50)
+        assert traj.absorbed
+        assert traj.mean_tail_rho_a == np.mean(traj.steps[-50:, A])
+
+    def test_zero_tail_window_gives_last_value(self):
+        net = small_net()
+        traj = run_to_absorption(net, [], default_params(), np.random.default_rng(21),
+                                 tail_window=0)
+        assert traj.absorbed
+        assert len(traj.steps) == traj.absorption_step + 1
+        assert traj.mean_tail_rho_a == traj.steps[-1, A]
+
+    def test_unabsorbed_run_gives_last_value(self):
+        net = small_net()
+        params = default_params(mu=0.0, max_steps=2)
+        traj = run_to_absorption(net, [], params, np.random.default_rng(21), tail_window=50)
+        assert not traj.absorbed and traj.absorption_step is None
+        assert len(traj.steps) == 3
+        assert traj.mean_tail_rho_a == traj.steps[-1, A]

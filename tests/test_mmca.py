@@ -19,7 +19,7 @@ from muxepi import (
     mmca_step,
     uau_steady_state,
 )
-from muxepi.mmca import write_fixed_point_csv, write_threshold_csv
+from muxepi.mmca import write_node_csv, write_threshold_csv
 from oracles import dense_spectral_radius, two_node_chain_marginals
 
 
@@ -330,5 +330,5 @@ class TestCsvOutput:
 
     def test_fixed_point_csv(self, tmp_path):
         path = tmp_path / "fp.csv"
-        write_fixed_point_csv(np.array([0.25, 0.5]), path)
+        write_node_csv(path, ("p_a",), (np.array([0.25, 0.5]),))
         assert path.read_text() == "node,p_a\n0,0.25\n1,0.5\n"
