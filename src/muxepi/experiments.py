@@ -124,7 +124,7 @@ def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[Tr
     if jobs <= 1:
         trajs = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             trajs = list(pool.map(_run_task, tasks, chunksize=1))
     return [trajs[i : i + reps] for i in range(0, len(trajs), reps)]
 

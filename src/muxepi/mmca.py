@@ -189,6 +189,8 @@ def mmca_run(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> MmcaState:
     """Iterate to a fixed point (max-norm change < tol over all components)."""
+    if tol <= 0.0:
+        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
     state = init_mmca(net, omega_set, params)
     for _ in range(max_iter):
         nxt = mmca_step(state, net, params)
@@ -247,56 +249,50 @@ def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> sparse.csr_
     return sparse.csr_matrix(h)
 
 
-def leading_eigenvalue(
-    m,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    _shifted: bool = False,
-) -> float:
-    """Dominant eigenvalue by power iteration with Rayleigh-quotient stopping.
+def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+    """Largest eigenvalue of a sparse symmetric matrix, or the dominant one of a dense matrix.
 
-    Non-negative matrices have a real dominant eigenvalue; an all-ones start
-    cannot be orthogonal to the Perron vector of an irreducible one. On
-    oscillation (e.g. bipartite adjacency) the iteration retries on m + I and
-    subtracts the shift.
+    Sparse input runs Lanczos (J. Res. NBS 45, 1950) from the all-ones vector
+    without reorthogonalisation, and stops when the top Ritz pair's residual
+    beta_k * |s_k| is at most tol * |theta|. It finds the largest eigenvalue
+    the start is not orthogonal to: for a non-negative matrix, the Perron
+    root, also when the graph is bipartite. Dense input takes every
+    eigenvalue (tol and max_iter unused); the one of largest modulus, the
+    largest real part among ties, must be real.
     """
     n = m.shape[0]
-    if n == 0:
-        raise InvalidArgumentError("empty matrix")
-    v = np.full(n, 1.0 / np.sqrt(n))
-    prev = None
-    streak = 0
-    oscillating = False
-    for _ in range(max_iter):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        ray = float(v @ w)
-        if prev is not None and abs(ray - prev) < tol:
-            streak += 1
-            if streak >= 2:
-                # A stable Rayleigh quotient with a large eigen-residual means
-                # the iterate is flipping between two dominant eigendirections
-                # (bipartite-style +/- pair), not converging.
-                residual = float(np.linalg.norm(w - ray * v))
-                if residual <= 1e-2 * max(1.0, abs(ray)):
-                    return ray
-                oscillating = True
-                streak = 0
-                if not _shifted:
-                    break
-        else:
-            streak = 0
-        prev = ray
-        v = w / norm
-    if oscillating and not _shifted:
-        shifted = m + sparse.identity(n, format="csr") if sparse.issparse(m) else m + np.eye(n)
-        return leading_eigenvalue(shifted, tol=tol, max_iter=max_iter, _shifted=True) - 1.0
+    if n == 0 or m.shape != (n, n):
+        raise InvalidArgumentError(f"need a non-empty square matrix, got shape {m.shape}")
+    if tol <= 0.0 or max_iter < 1:
+        raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
+    if not sparse.issparse(m):
+        vals = np.linalg.eigvals(np.asarray(m, dtype=np.float64))
+        mod = np.abs(vals)
+        top = vals[mod >= mod.max() * (1.0 - 1e-12)]
+        lam = top[np.argmax(top.real)]
+        if lam.imag != 0.0:
+            raise NonConvergenceError(f"dominant eigenvalue {lam} is not real", last_iterate=lam)
+        return float(lam.real)
+    if (m != m.T).nnz:
+        raise InvalidArgumentError("sparse input must be symmetric")
+    alphas, betas = [], []
+    q_prev, q, beta = np.zeros(n), np.full(n, 1.0 / np.sqrt(n)), 0.0
+    for k in range(1, max_iter + 1):
+        w = m @ q - beta * q_prev
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        beta = float(np.linalg.norm(w))
+        betas.append(beta)
+        if k % 16 == 0 or k == n or k == max_iter or beta == 0.0:
+            theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+            residual = beta * abs(s[-1, -1])
+            if residual <= tol * abs(theta[-1]):
+                return float(theta[-1])
+        q_prev, q = q, w / beta
     raise NonConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
-        last_iterate=v,
-        residual=abs(ray - prev) if prev is not None else None,
+        f"Lanczos did not converge within {max_iter} steps",
+        last_iterate=float(theta[-1]),
+        residual=residual,
     )
 
 
@@ -312,7 +308,10 @@ def epidemic_threshold(
         raise InvalidArgumentError(f"threshold needs mu in (0,1], got {params.mu}")
     p_a = uau_steady_state(net, params, omega_set=omega_set, tol=tol, max_iter=max_iter)
     h = build_h_matrix(p_a, net.contact_layer, params.gamma)
-    lam_max = leading_eigenvalue(h, tol=tol, max_iter=max_iter)
+    # B is symmetric 0/1, so sqrt(H o H^T) is D^1/2 B D^1/2: symmetric, same spectrum as H.
+    lam_max = leading_eigenvalue(h.multiply(h.T).sqrt(), tol=tol, max_iter=max_iter)
+    if lam_max <= 0.0:
+        raise InvalidArgumentError("H has no positive eigenvalue, so there is no finite threshold")
     return ThresholdResult(beta_c=params.mu / lam_max, lambda_max=lam_max, p_a=p_a)
 
 

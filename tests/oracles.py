@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
-These deliberately avoid the algorithms used in the package (Brandes, power
-iteration, the vectorized Monte Carlo step) so agreement is meaningful.
+These deliberately avoid the algorithms used in the package (Brandes, the
+sparse Lanczos solve, the vectorized Monte Carlo step) so agreement is
+meaningful.
 """
 
 from collections import deque

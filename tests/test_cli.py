@@ -107,15 +107,29 @@ class TestMainErrors:
             (["threshold", "--set", "omega_count=61"], "count 61 exceeds 60"),
             (["heatmap", "--set", "replications=0", "--set", "betas=0.2"], "replications"),
             (["threshold", "--set", "tol=0"], "tol"),
+            (["mmca", "--set", "tol=0"], "tol"),
             (["sweep", "--set", "tail_window=-3", "--set", "replications=1"], "tail_window"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
-             "zero_tol", "negative_tail_window"],
+             "zero_tol", "mmca_zero_tol", "negative_tail_window"],
     )
     def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_edgeless_contact_layer_has_no_threshold(self, tmp_path, capsys):
+        ring = tmp_path / "ring.edges"
+        ring.write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        empty = tmp_path / "empty.edges"
+        empty.write_text("# nodes=3\n")
+        rc = main([
+            "threshold", "--out", str(tmp_path),
+            "--set", f"awareness_edges={ring}", "--set", f"contact_edges={empty}",
+        ])
+        assert rc == 2
+        assert "no positive eigenvalue" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -10,6 +10,7 @@ from muxepi import (
     omega_ratio_sweep,
     timeseries_experiment,
 )
+from muxepi import experiments
 from muxepi.experiments import plateau_step
 
 
@@ -109,6 +110,30 @@ class TestHeatmap:
                 driver(jobs).write_csv(p)
                 paths.append(p.read_bytes())
             assert paths[0] == paths[1] == paths[2], name
+
+    def test_pool_never_exceeds_task_count(self, monkeypatch):
+        # A fork pool starts all its workers at the first submit, so --jobs
+        # above the task count would fork idle processes.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        spec = small_spec(n=60, betas=(0.3, 0.6), replications=3)
+        pooled = heatmap_experiment(spec, jobs=32)
+        assert sizes == [6]
+        assert np.array_equal(pooled.mean_rho_r, heatmap_experiment(spec, jobs=1).mean_rho_r)
 
     def test_csv_format(self, tmp_path):
         spec = small_spec()

@@ -29,7 +29,7 @@ CASES = {
         + ["--set", "gamma=0.3",
            "--set", "omega_strategy=clustering_top", "--set", "omega_count=15"],
         {
-            "threshold.csv": "49d3be2687eaab4a7225c0e6e9d85290238e50b29aaf0840d4c24ae7d9753ff4",
+            "threshold.csv": "54a36e5a6493ff0f0d9602094fef8a5be69680443d9f965f08ebec4ef0e0c3e4",
             "p_a.csv": "f8605a2597840ebe35c58c287bfa6ad8d02213775d06ffdfa58343d973501455",
             "omega.txt": "4df20c2db75cdfb07de256bd3473b87f19875c66471275ee9953077b92ecb598",
         },

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from muxepi import (
     DynamicsParams,
@@ -225,9 +226,30 @@ class TestLeadingEigenvalue:
         assert leading_eigenvalue(g.adjacency()) == pytest.approx(4.0, abs=1e-6)
 
     def test_star_is_bipartite(self):
-        # sqrt(n-1) for a star; the +/- eigenvalue pair forces the shifted retry.
+        # sqrt(n-1) for a star, whose spectrum also holds -2: the largest
+        # eigenvalue wins, with no shift.
         g = Graph(5, [(0, i) for i in range(1, 5)])
         assert leading_eigenvalue(g.adjacency()) == pytest.approx(2.0, abs=1e-6)
+        assert leading_eigenvalue(g.adjacency().toarray()) == pytest.approx(2.0, abs=1e-6)
+
+    def test_even_cycle_is_bipartite(self):
+        assert leading_eigenvalue(generate_ws(1000, 2, 0.0).adjacency()) == pytest.approx(
+            2.0, rel=1e-12
+        )
+
+    def test_sparse_must_be_symmetric(self):
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            leading_eigenvalue(sparse.csr_matrix(np.triu(np.ones((4, 4)))))
+
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0)])
+    def test_rejects_unreachable_stop(self, tol, max_iter):
+        with pytest.raises(InvalidArgumentError):
+            leading_eigenvalue(generate_ws(40, 4, 0.1, seed=1).adjacency(), tol, max_iter)
+
+    def test_too_few_steps_raise(self):
+        with pytest.raises(NonConvergenceError) as exc:
+            leading_eigenvalue(generate_ba(1000, 4, seed=3).adjacency(), max_iter=3)
+        assert exc.value.residual > 0.0
 
     def test_accepts_h_matrix_wrapper(self):
         g = generate_ws(40, 4, 0.0)
@@ -274,6 +296,17 @@ class TestEpidemicThreshold:
         bare = leading_eigenvalue(net.contact_layer.adjacency())
         assert res.lambda_max <= bare + 1e-9
         assert res.beta_c >= params.mu / bare - 1e-12
+
+    def test_matches_dense_symmetric_oracle(self):
+        # H = D B with D = diag(1 - (1-gamma) p_a) shares its spectrum with the
+        # symmetric D^1/2 B D^1/2, whose top eigenvalue dense eigvalsh gives.
+        net = small_net(1000, seed=7)
+        params = default_params(gamma=0.2)
+        res = epidemic_threshold(net, params)
+        d = np.sqrt(1.0 - 0.8 * res.p_a)
+        sym = d[:, None] * net.contact_layer.adjacency().toarray() * d[None, :]
+        expected = params.mu / np.linalg.eigvalsh(sym)[-1]
+        assert res.beta_c == pytest.approx(expected, rel=1e-12)
 
     def test_requires_positive_mu(self):
         with pytest.raises(InvalidArgumentError):
