@@ -139,6 +139,12 @@ def init_states(
     return StateVector(disease=disease, aware=aware, omega=omega, step=0)
 
 
+def _powers(base, count: np.ndarray) -> np.ndarray:
+    """base ** k for k = 0..max(count) along the last axis; indexed by count,
+    it gives the same bits as base ** count (same power loop, same operands)."""
+    return base ** np.arange(count.max(initial=0) + 1)
+
+
 def mc_step(
     states: StateVector,
     net: MultiplexNetwork,
@@ -160,8 +166,8 @@ def mc_step(
 
     # Substep 1: awareness. Each aware neighbor informs independently with
     # probability lam, so staying unaware has probability (1-lam)^(#aware).
-    n_aware = a_mat @ aware.astype(np.float64)
-    p_stay_unaware = (1.0 - params.lam) ** n_aware
+    n_aware = (a_mat @ aware.astype(np.float64)).astype(np.intp)
+    p_stay_unaware = _powers(1.0 - params.lam, n_aware)[n_aware]
     u_inform = rng.random(n)
     informed = ~aware & ~omega & (u_inform >= p_stay_unaware)
     u_forget = rng.random(n)
@@ -170,12 +176,10 @@ def mc_step(
     aware_mid = (aware | informed) & ~forgets
 
     # Substep 2: infection at the post-awareness susceptibility.
-    n_inf = b_mat @ infected_t.astype(np.float64)
-    p_escape = np.where(
-        aware_mid,
-        (1.0 - params.beta_a) ** n_inf,
-        (1.0 - params.beta_u) ** n_inf,
-    )
+    # Row 0 of the table escapes at beta_u (unaware), row 1 at beta_a (aware).
+    n_inf = (b_mat @ infected_t.astype(np.float64)).astype(np.intp)
+    escape = _powers(np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]), n_inf)
+    p_escape = escape[aware_mid.astype(np.intp), n_inf]
     u_infect = rng.random(n)
     newly_infected = (disease == S) & (u_infect >= p_escape)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,21 @@ def _seed_int(master_seed: int, *key) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
 
 
-def _run_task(task) -> Trajectory:
-    """Build one replication's multiplex and silenced set, then run it to absorption."""
+class _Outcome(NamedTuple):
+    """The part of a trajectory that heatmap and sweep read."""
+
+    final_rho_r: float
+    absorbed: bool
+    absorption_step: int | None
+
+
+def _run_task(task) -> Trajectory | _Outcome:
+    """Build one replication's multiplex and silenced set, then run it to absorption.
+
+    Only timeseries keeps the trajectory and its tail. Heatmap and sweep read
+    the final rho_R, fixed once no node is infected, so they skip the tail;
+    each task has its own RNG stream, so no other task's draws move.
+    """
     spec, kind, cell, rep, omega, lam, beta_u = task
     key = (kind, cell, rep if spec.fresh_networks else 0)
     net = build_multiplex(
@@ -104,17 +118,19 @@ def _run_task(task) -> Trajectory:
     )
     if omega.strategy == "random":
         omega = replace(omega, seed=_seed_int(spec.master_seed, *key, _NS_OMEGA))
-    return run_to_absorption(
+    curves = kind == _KIND_TIMESERIES
+    traj = run_to_absorption(
         net,
         select_omega(omega, net.awareness_layer),
         spec.params(lam, beta_u),
         _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
-        tail_window=spec.tail_window,
+        tail_window=spec.tail_window if curves else 0,
     )
+    return traj if curves else _Outcome(traj.final_rho_r, traj.absorbed, traj.absorption_step)
 
 
-def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list[Trajectory]]:
-    """Each cell's replication trajectories, in cell order.
+def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list]:
+    """Each cell's replication results from `_run_task`, in cell order.
 
     A cell is (omega, lambda, beta_u); its index in `cells` is the cell part
     of its spawn keys.

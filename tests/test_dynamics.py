@@ -109,19 +109,50 @@ def reference_step(states, net, params, rng):
     return StateVector(disease_next, aware_next, states.omega, states.step + 1)
 
 
+def hub_net(n=80, seed=4):
+    """small_net with node n-1 linked to every other node in both layers."""
+    net = small_net(n, seed=seed)
+    spokes = [(i, n - 1) for i in range(n - 1)]
+    return build_multiplex(
+        Graph(n, [*net.awareness_layer.edges(), *spokes]),
+        Graph(n, [*net.contact_layer.edges(), *spokes]),
+    )
+
+
+def assert_matches_reference(params, steps=20):
+    net = hub_net()
+    sv_a = init_states(net, [0, 5, 11], params, np.random.default_rng(7))
+    sv_b = sv_a.copy()
+    rng_a = np.random.default_rng(123)
+    rng_b = np.random.default_rng(123)
+    hub_aware_nbrs = set()
+    for _ in range(steps):
+        hub_aware_nbrs.add(int(np.count_nonzero(sv_a.aware[:-1])))
+        sv_a = mc_step(sv_a, net, params, rng_a)
+        sv_b = reference_step(sv_b, net, params, rng_b)
+        assert (sv_a.disease == sv_b.disease).all()
+        assert (sv_a.aware == sv_b.aware).all()
+    # The hub sees every other node, so the awareness table's length moves with it.
+    assert len(hub_aware_nbrs) > 1
+
+
 class TestMcStep:
     def test_matches_per_node_reference(self):
-        net = small_net(80, seed=4)
-        params = default_params(initial_infected_fraction=0.05)
-        sv_a = init_states(net, [0, 5, 11], params, np.random.default_rng(7))
-        sv_b = sv_a.copy()
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        for _ in range(20):
-            sv_a = mc_step(sv_a, net, params, rng_a)
-            sv_b = reference_step(sv_b, net, params, rng_b)
-            assert (sv_a.disease == sv_b.disease).all()
-            assert (sv_a.aware == sv_b.aware).all()
+        assert_matches_reference(default_params(initial_infected_fraction=0.05))
+
+    # lam=1 and beta_u=1 put base 0 into the power tables, where 0**0 must
+    # stay 1.0; gamma=0 makes the aware row of the escape table all ones.
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(lam=1.0, beta_u=1.0, gamma=0.0),
+            dict(lam=1.0),
+            dict(beta_u=1.0),
+            dict(gamma=0.0),
+        ],
+    )
+    def test_matches_per_node_reference_at_edge_rates(self, rates):
+        assert_matches_reference(default_params(initial_infected_fraction=0.05, **rates))
 
     def test_deterministic_given_seed(self):
         net = small_net()

@@ -10,7 +10,8 @@ from muxepi import (
     omega_ratio_sweep,
     timeseries_experiment,
 )
-from muxepi import experiments
+from muxepi import dynamics, experiments
+from muxepi.dynamics import mc_step
 from muxepi.experiments import plateau_step
 
 
@@ -146,6 +147,50 @@ class TestHeatmap:
         assert len(lines) == 2 + 1  # one grid cell
         fields = lines[2].split(",")
         assert [float(x) for x in fields[:4]] and int(fields[4]) == 3
+
+
+class TestTailSkip:
+    """rho_R is fixed at absorption, so only timeseries runs the tail."""
+
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return mc_step(*args)
+
+        monkeypatch.setattr(dynamics, "mc_step", counted)
+        return calls
+
+    def test_tail_window_changes_only_the_spec_line(self, tmp_path):
+        drivers = {
+            "heatmap": heatmap_experiment,
+            "sweep": lambda spec: omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.2]),
+        }
+        for name, driver in drivers.items():
+            blobs = []
+            for tail in (0, 100):
+                p = tmp_path / f"{name}{tail}.csv"
+                driver(small_spec(betas=(0.1, 0.4), tail_window=tail)).write_csv(p)
+                blobs.append(p.read_text().splitlines())
+            assert blobs[0][0] != blobs[1][0], name
+            assert blobs[0][1:] == blobs[1][1:], name
+
+    @pytest.mark.parametrize("kind", [experiments._KIND_HEATMAP, experiments._KIND_SWEEP])
+    def test_heatmap_and_sweep_stop_at_absorption(self, step_calls, kind):
+        spec = small_spec()
+        out = experiments._run_task((spec, kind, 0, 0, spec.omega, 0.5, 0.3))
+        assert out.absorbed and out.absorption_step > 0
+        assert len(step_calls) == out.absorption_step
+
+    def test_timeseries_keeps_the_tail(self, step_calls):
+        spec = small_spec(tail_window=37)
+        kind = experiments._KIND_TIMESERIES
+        traj = experiments._run_task((spec, kind, 0, 0, spec.omega, 0.5, 0.3))
+        assert traj.absorbed
+        assert len(step_calls) == traj.absorption_step + 37
+        assert len(traj.steps) == traj.absorption_step + 1 + 37
 
 
 class TestTimeseries:

@@ -13,6 +13,7 @@ from muxepi import (
     read_edge_list,
     write_edge_list,
 )
+from muxepi import graph
 from oracles import (
     brute_force_betweenness,
     random_graph,
@@ -200,6 +201,12 @@ class TestClustering:
         n = int(rng.integers(5, 80))
         edges = random_graph(n, density, rng)
         assert clustering_coefficients(Graph(n, edges)).tolist() == triangle_clustering(n, edges)
+
+    def test_row_blocks_match_triangle_count_exactly(self):
+        # Several row blocks, the last one short, with BA hubs in the first.
+        n = 2 * graph._CLUSTERING_ROWS + 77
+        g = generate_ba(n, 4, seed=5)
+        assert clustering_coefficients(g).tolist() == triangle_clustering(n, list(g.edges()))
 
     def test_bounds(self):
         g = generate_ba(200, 3, seed=2)
