@@ -161,11 +161,13 @@ def parse_config(
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {sub!r}")
     values["subcommand"] = sub
+    name = "seed"
     if seed is None:
         seed = values.get("seed")
     if seed is None:
-        env = os.environ.get("MUXEPI_SEED")
-        seed = int(env) if env else 0
+        name, seed = "MUXEPI_SEED", os.environ.get("MUXEPI_SEED") or "0"
+    if not str(seed).strip().isdecimal():
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
     resolved_out = out_dir or values.get("out") or "."
     return RunConfig(
         subcommand=sub,
@@ -218,6 +220,9 @@ def _networks(config: RunConfig):
     ct_path = config.values.get("contact_edges")
     if aw_path and ct_path:
         return build_multiplex(read_edge_list(aw_path), read_edge_list(ct_path))
+    if aw_path or ct_path:
+        missing = "contact_edges" if aw_path else "awareness_edges"
+        raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
     ba_seed, ws_seed = np.random.SeedSequence(config.seed, spawn_key=(0,)).spawn(2)
     return build_multiplex(
         generate_ba(config.get("n"), config.get("ba_m"), seed=ba_seed),

@@ -224,7 +224,7 @@ def run_to_absorption(
     for _ in range(params.max_steps):
         sv = mc_step(sv, net, params, rng)
         history.append(counts(sv))
-        if not np.any(sv.disease == I):
+        if history[-1][I] == 0.0:
             absorbed = True
             absorption_step = sv.step
             break

@@ -1,9 +1,10 @@
 """Deterministic per-node probability iteration and the spectral threshold.
 
 The joint-state marginals of every node are advanced under an independence
-closure. Silenced (omega) nodes carry an extra unaware-infected component so
-their distribution stays stochastic while their awareness channel is clamped
-to zero.
+closure, the UAU-SIS MMCA of Granell, Gomez & Arenas (PRL 111, 128701, 2013)
+with recovery to R. Every node takes the same update. A silenced (omega) node
+is the case r = 1 (no neighbour informs it) and delta = 1 (it forgets at
+once), so it is never aware and its infected mass stays unaware.
 """
 
 from __future__ import annotations
@@ -44,18 +45,26 @@ DEFAULT_MAX_ITER = 100_000
 class MmcaState:
     """Per-node probability vectors over the joint states.
 
-    p_ui is identically zero for non-silenced nodes; silenced nodes have
-    p_as = p_ai = p_ar = 0.
+    p_i is the infected mass of every node: aware on ordinary nodes, unaware
+    on silenced ones, which also keep p_as = p_ar = 0. The p_ai and p_ui
+    components split p_i by omega.
     """
 
     p_us: np.ndarray
     p_as: np.ndarray
-    p_ai: np.ndarray
+    p_i: np.ndarray
     p_ur: np.ndarray
     p_ar: np.ndarray
-    p_ui: np.ndarray
     omega: np.ndarray  # bool mask
     step: int = 0
+
+    @property
+    def p_ai(self) -> np.ndarray:
+        return np.where(self.omega, 0.0, self.p_i)
+
+    @property
+    def p_ui(self) -> np.ndarray:
+        return np.where(self.omega, self.p_i, 0.0)
 
     @property
     def p_a(self) -> np.ndarray:
@@ -63,16 +72,11 @@ class MmcaState:
         return self.p_as + self.p_ai + self.p_ar
 
     @property
-    def p_i(self) -> np.ndarray:
-        """Marginal infection probability (includes unaware-infected mass)."""
-        return self.p_ai + self.p_ui
-
-    @property
     def p_r(self) -> np.ndarray:
         return self.p_ur + self.p_ar
 
     def component_sums(self) -> np.ndarray:
-        return self.p_us + self.p_as + self.p_ai + self.p_ur + self.p_ar + self.p_ui
+        return self.p_us + self.p_as + self.p_i + self.p_ur + self.p_ar
 
     def rho(self) -> dict:
         return {
@@ -101,82 +105,81 @@ def _neighbor_product(adj: sparse.csr_matrix, factors: np.ndarray) -> np.ndarray
     return out
 
 
+def _not_informed(a_mat: sparse.csr_matrix, p_a, omega, lam: float) -> np.ndarray:
+    """r: the chance that no aware neighbour informs a node; 1 on silenced nodes."""
+    return np.where(omega, 1.0, _neighbor_product(a_mat, 1.0 - lam * p_a))
+
+
+def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
+    """Apply step from x until no entry of arrays(x) moves by tol or more."""
+    if tol <= 0.0:
+        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
+    change = np.inf
+    for _ in range(max_iter):
+        nxt = step(x)
+        change = max(float(np.max(np.abs(a - b))) for a, b in zip(arrays(nxt), arrays(x)))
+        x = nxt
+        if change < tol:
+            return x
+    raise NonConvergenceError(
+        f"{what} not reached within {max_iter} iterations", last_iterate=x, residual=change
+    )
+
+
 def init_mmca(
     net: MultiplexNetwork, omega_set, params: DynamicsParams
 ) -> MmcaState:
     """Mirror the Monte Carlo initial condition in probability."""
     n = net.node_count
-    omega = omega_mask(n, omega_set)
     f = params.initial_infected_fraction
-    p_ai = np.where(omega, 0.0, f)
-    p_ui = np.where(omega, f, 0.0)
-    p_us = np.full(n, 1.0 - f)
-    zeros = np.zeros(n)
     return MmcaState(
-        p_us=p_us,
-        p_as=zeros.copy(),
-        p_ai=p_ai,
-        p_ur=zeros.copy(),
-        p_ar=zeros.copy(),
-        p_ui=p_ui,
-        omega=omega,
+        p_us=np.full(n, 1.0 - f),
+        p_as=np.zeros(n),
+        p_i=np.full(n, f),
+        p_ur=np.zeros(n),
+        p_ar=np.zeros(n),
+        omega=omega_mask(n, omega_set),
         step=0,
     )
 
 
 def mmca_rates(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams):
     """Per-node probabilities of not being informed (r) and of escaping
-    infection while aware (q_a) or unaware (q_u), from neighbor marginals."""
-    a_mat = net.awareness_layer.adjacency()
+    infection while aware (q_a) or unaware (q_u), from neighbor marginals.
+    r is 1 on silenced nodes."""
     b_mat = net.contact_layer.adjacency()
-    p_a = state.p_a
-    p_i = state.p_i
-    r = _neighbor_product(a_mat, 1.0 - params.lam * p_a)
-    q_a = _neighbor_product(b_mat, 1.0 - params.beta_a * p_i)
-    q_u = _neighbor_product(b_mat, 1.0 - params.beta_u * p_i)
+    r = _not_informed(net.awareness_layer.adjacency(), state.p_a, state.omega, params.lam)
+    q_a = _neighbor_product(b_mat, 1.0 - params.beta_a * state.p_i)
+    q_u = _neighbor_product(b_mat, 1.0 - params.beta_u * state.p_i)
     return r, q_a, q_u
 
 
 def mmca_step(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -> MmcaState:
-    """Advance every node's joint-state distribution by one step."""
+    """Advance every node's joint-state distribution by one step.
+
+    Silenced nodes forget at once (delta = 1); with r = 1 from mmca_rates
+    they keep p_as = p_ar = 0.
+    """
     r, q_a, q_u = mmca_rates(state, net, params)
-    delta, mu = params.delta, params.mu
-    p_us, p_as, p_ai = state.p_us, state.p_as, state.p_ai
-    p_ur, p_ar, p_ui = state.p_ur, state.p_ar, state.p_ui
+    delta, mu = np.where(state.omega, 1.0, params.delta), params.mu
+    p_us, p_as, p_i, p_ur, p_ar = state.p_us, state.p_as, state.p_i, state.p_ur, state.p_ar
 
     n_as = p_as * (1.0 - delta) * q_a + p_us * (1.0 - r) * q_a
     n_us = p_as * delta * q_u + p_us * r * q_u
-    n_ai = (
+    n_i = (
         p_as * ((1.0 - delta) * (1.0 - q_a) + delta * (1.0 - q_u))
         + p_us * (r * (1.0 - q_u) + (1.0 - r) * (1.0 - q_a))
-        + p_ai * (1.0 - mu)
+        + p_i * (1.0 - mu)
     )
-    n_ar = p_ai * (1.0 - delta) * mu + p_ar * (1.0 - delta) + p_ur * (1.0 - r)
-    n_ur = p_ai * delta * mu + p_ar * delta + p_ur * r
-    n_ui = np.zeros_like(p_ui)
-
-    # Silenced nodes: awareness channel clamped, infected mass stays unaware.
-    om = state.omega
-    if om.any():
-        o_us = p_us * q_u
-        o_ui = p_us * (1.0 - q_u) + p_ui * (1.0 - mu)
-        o_ur = p_ur + p_ui * mu
-        n_us = np.where(om, o_us, n_us)
-        n_ui = np.where(om, o_ui, n_ui)
-        n_ur = np.where(om, o_ur, n_ur)
-        zero = np.zeros_like(p_us)
-        n_as = np.where(om, zero, n_as)
-        n_ai = np.where(om, zero, n_ai)
-        n_ar = np.where(om, zero, n_ar)
-
+    n_ar = p_i * (1.0 - delta) * mu + p_ar * (1.0 - delta) + p_ur * (1.0 - r)
+    n_ur = p_i * delta * mu + p_ar * delta + p_ur * r
     return MmcaState(
         p_us=n_us,
         p_as=n_as,
-        p_ai=n_ai,
+        p_i=n_i,
         p_ur=n_ur,
         p_ar=n_ar,
-        p_ui=n_ui,
-        omega=om,
+        omega=state.omega,
         step=state.step + 1,
     )
 
@@ -189,20 +192,13 @@ def mmca_run(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> MmcaState:
     """Iterate to a fixed point (max-norm change < tol over all components)."""
-    if tol <= 0.0:
-        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
-    state = init_mmca(net, omega_set, params)
-    for _ in range(max_iter):
-        nxt = mmca_step(state, net, params)
-        change = max(
-            float(np.max(np.abs(getattr(nxt, c) - getattr(state, c))))
-            for c in COMPONENTS
-        )
-        state = nxt
-        if change < tol:
-            return state
-    raise NonConvergenceError(
-        f"no fixed point within {max_iter} iterations", last_iterate=state, residual=change
+    return _fixed_point(
+        lambda s: mmca_step(s, net, params),
+        init_mmca(net, omega_set, params),
+        lambda s: (s.p_us, s.p_as, s.p_i, s.p_ur, s.p_ar),
+        tol,
+        max_iter,
+        "MMCA fixed point",
     )
 
 
@@ -215,24 +211,16 @@ def uau_steady_state(
     init: float = 0.5,
 ) -> np.ndarray:
     """Disease-free awareness fixed point; silenced nodes stay at zero."""
-    if tol <= 0.0:
-        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
     a_mat = net.awareness_layer.adjacency()
     omega = omega_mask(net.node_count, omega_set)
+    delta = np.where(omega, 1.0, params.delta)
+
+    def step(p):
+        r = _not_informed(a_mat, p, omega, params.lam)
+        return p * (1.0 - delta) + (1.0 - p) * (1.0 - r)
+
     p = np.where(omega, 0.0, float(init))
-    for _ in range(max_iter):
-        r = _neighbor_product(a_mat, 1.0 - params.lam * p)
-        nxt = p * (1.0 - params.delta) + (1.0 - p) * (1.0 - r)
-        nxt[omega] = 0.0
-        change = float(np.max(np.abs(nxt - p)))
-        p = nxt
-        if change < tol:
-            return p
-    raise NonConvergenceError(
-        f"awareness fixed point not reached within {max_iter} iterations",
-        last_iterate=p,
-        residual=change,
-    )
+    return _fixed_point(step, p, lambda p: (p,), tol, max_iter, "awareness fixed point")
 
 
 def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> sparse.csr_matrix:

@@ -2,7 +2,9 @@
 
 These deliberately avoid the algorithms used in the package (Brandes, the
 sparse Lanczos solve and the dense LAPACK eigensolver, the vectorized Monte
-Carlo step) so agreement is meaningful.
+Carlo step) so agreement is meaningful. The MMCA reference step is the one
+exception: it keeps the earlier six-component update, with its own branch
+for silenced nodes, so the single update can be checked bit for bit.
 """
 
 from collections import deque
@@ -227,3 +229,56 @@ def two_node_chain_marginals(params, awareness_edge, contact_edge, initial, step
                 nxt[key] = nxt.get(key, 0.0) + prob * p0 * p1
         dist = nxt
     return history
+
+
+# --- six-component MMCA step with an explicit silenced branch ---------------
+
+
+def _reference_neighbor_product(adj, factors):
+    zero = factors <= 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.where(zero, 0.0, np.log(np.where(zero, 1.0, factors)))
+    out = np.exp(adj @ logs)
+    if zero.any():
+        out[(adj @ zero.astype(np.float64)) > 0.0] = 0.0
+    return out
+
+
+def reference_mmca_step(comps, omega, net, params):
+    """One MMCA step over the six components p_us, p_as, p_ai, p_ur, p_ar, p_ui.
+
+    comps maps each name to a length-N array; returns the same for t + 1.
+    Ordinary nodes take the UAU-SIR update with p_ui = 0; silenced nodes
+    then have all six components overridden: no awareness, and infected
+    mass held in p_ui.
+    """
+    p_us, p_as, p_ai = comps["p_us"], comps["p_as"], comps["p_ai"]
+    p_ur, p_ar, p_ui = comps["p_ur"], comps["p_ar"], comps["p_ui"]
+    p_a = p_as + p_ai + p_ar
+    p_i = p_ai + p_ui
+    b_mat = net.contact_layer.adjacency()
+    r = _reference_neighbor_product(net.awareness_layer.adjacency(), 1.0 - params.lam * p_a)
+    q_a = _reference_neighbor_product(b_mat, 1.0 - params.beta_a * p_i)
+    q_u = _reference_neighbor_product(b_mat, 1.0 - params.beta_u * p_i)
+    delta, mu = params.delta, params.mu
+
+    n_as = p_as * (1.0 - delta) * q_a + p_us * (1.0 - r) * q_a
+    n_us = p_as * delta * q_u + p_us * r * q_u
+    n_ai = (
+        p_as * ((1.0 - delta) * (1.0 - q_a) + delta * (1.0 - q_u))
+        + p_us * (r * (1.0 - q_u) + (1.0 - r) * (1.0 - q_a))
+        + p_ai * (1.0 - mu)
+    )
+    n_ar = p_ai * (1.0 - delta) * mu + p_ar * (1.0 - delta) + p_ur * (1.0 - r)
+    n_ur = p_ai * delta * mu + p_ar * delta + p_ur * r
+    n_ui = np.zeros_like(p_ui)
+
+    if omega.any():
+        zero = np.zeros_like(p_us)
+        n_us = np.where(omega, p_us * q_u, n_us)
+        n_ui = np.where(omega, p_us * (1.0 - q_u) + p_ui * (1.0 - mu), n_ui)
+        n_ur = np.where(omega, p_ur + p_ui * mu, n_ur)
+        n_as = np.where(omega, zero, n_as)
+        n_ai = np.where(omega, zero, n_ai)
+        n_ar = np.where(omega, zero, n_ar)
+    return {"p_us": n_us, "p_as": n_as, "p_ai": n_ai, "p_ur": n_ur, "p_ar": n_ar, "p_ui": n_ui}

@@ -64,6 +64,12 @@ class TestParseConfig:
         monkeypatch.setenv("MUXEPI_SEED", "77")
         assert parse_config(subcommand="threshold").seed == 77
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_env_seed_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("MUXEPI_SEED", value)
+        with pytest.raises(ConfigError, match="MUXEPI_SEED"):
+            parse_config(subcommand="threshold")
+
     def test_missing_subcommand(self):
         with pytest.raises(ConfigError, match="subcommand"):
             parse_config()
@@ -109,14 +115,19 @@ class TestMainErrors:
             (["threshold", "--set", "tol=0"], "tol"),
             (["mmca", "--set", "tol=0"], "tol"),
             (["sweep", "--set", "tail_window=-3", "--set", "replications=1"], "tail_window"),
+            (["threshold", "--seed", "-1"], "seed"),
+            (["threshold", "--set", "awareness_edges=a.edges"], "contact_edges is missing"),
+            (["threshold", "--set", "contact_edges=c.edges"], "awareness_edges is missing"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
-             "zero_tol", "mmca_zero_tol", "negative_tail_window"],
+             "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
+             "awareness_edges_alone", "contact_edges_alone"],
     )
     def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_edgeless_contact_layer_has_no_threshold(self, tmp_path, capsys):
         ring = tmp_path / "ring.edges"

@@ -20,8 +20,8 @@ from muxepi import (
     mmca_step,
     uau_steady_state,
 )
-from muxepi.mmca import write_node_csv, write_threshold_csv
-from oracles import dense_spectral_radius, two_node_chain_marginals
+from muxepi.mmca import COMPONENTS, write_node_csv, write_threshold_csv
+from oracles import dense_spectral_radius, reference_mmca_step, two_node_chain_marginals
 
 
 def default_params(**kwargs):
@@ -109,6 +109,44 @@ class TestStep:
         mask = ~state.omega
         assert state.p_ui[mask].max() == 0.0
 
+    def test_init_components_do_not_share_memory(self):
+        state = init_mmca(small_net(50), [3], default_params())
+        stored = (state.p_us, state.p_as, state.p_i, state.p_ur, state.p_ar)
+        for k, a in enumerate(stored):
+            assert not any(np.shares_memory(a, b) for b in stored[k + 1:])
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {},
+            {"lam": 1.0},
+            {"beta_u": 1.0},
+            {"gamma": 0.0},
+            {"delta": 0.0},
+            {"delta": 1.0},
+            {"mu": 1.0},
+            {"mu": 0.0},
+            {"lam": 0.0},
+            {"lam": 1.0, "beta_u": 1.0, "delta": 1.0, "mu": 1.0, "gamma": 0.0},
+        ],
+        ids=["default", "lam1", "beta_u1", "gamma0", "delta0", "delta1", "mu1", "mu0",
+             "lam0", "all_certain"],
+    )
+    def test_bit_equal_to_six_component_reference(self, rates):
+        # Silenced nodes take the general update with r = 1 and delta = 1; the
+        # reference overrides their components on a branch of its own.
+        net = small_net(300, seed=2)
+        params = default_params(**rates)
+        state = init_mmca(net, range(0, 300, 7), params)
+        ref = {c: getattr(state, c) for c in COMPONENTS}
+        for t in range(300):
+            state = mmca_step(state, net, params)
+            ref = reference_mmca_step(ref, state.omega, net, params)
+            for c in COMPONENTS:
+                got = getattr(state, c)
+                assert np.array_equal(got, ref[c]), (t, c)
+                assert np.array_equal(np.signbit(got), np.signbit(ref[c])), (t, c)
+
     def test_matches_exact_chain_on_two_nodes(self):
         # The independence closure is not exact on a correlated pair, but
         # must track the exact joint chain closely.
@@ -119,7 +157,7 @@ class TestStep:
         # Node-resolved comparison needs matching initial conditions: the
         # oracle starts from node 0 infected-aware, node 1 susceptible-unaware.
         state.p_us[:] = [0.0, 1.0]
-        state.p_ai[:] = [1.0, 0.0]
+        state.p_i[:] = [1.0, 0.0]
         initial = {(("I", True), ("S", False)): 1.0}
         exact = two_node_chain_marginals(params, True, True, initial, 6)
         for t, (p_a, p_i, p_r) in enumerate(exact):
@@ -178,6 +216,14 @@ class TestUauSteadyState:
         a = uau_steady_state(net, params, init=0.9, tol=1e-12)
         b = uau_steady_state(net, params, init=0.1, tol=1e-12)
         assert np.abs(a - b).max() < 1e-8
+
+    def test_nonconvergence_raises(self):
+        net = small_net()
+        with pytest.raises(NonConvergenceError) as exc:
+            uau_steady_state(net, default_params(), omega_set=[4, 8], max_iter=3)
+        last = exc.value.last_iterate
+        assert isinstance(last, np.ndarray) and last.shape == (net.node_count,)
+        assert exc.value.residual > 0.0
 
     def test_silenced_pinned_to_zero(self):
         p = uau_steady_state(small_net(), default_params(), omega_set=[4, 8])
@@ -335,10 +381,9 @@ class TestEpidemicThreshold:
             state = MmcaState(
                 p_us=(1.0 - p_a) * (1.0 - eps),
                 p_as=p_a * (1.0 - eps),
-                p_ai=np.full(net.node_count, eps),
+                p_i=np.full(net.node_count, eps),
                 p_ur=np.zeros(net.node_count),
                 p_ar=np.zeros(net.node_count),
-                p_ui=np.zeros(net.node_count),
                 omega=np.zeros(net.node_count, dtype=bool),
             )
             masses = []
