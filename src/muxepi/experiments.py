@@ -1,9 +1,10 @@
 """Experiment harness: parameter grids, time series, and silenced-fraction sweeps.
 
 Every run is reproducible from (spec, master_seed): seeds are derived through
-named spawn keys (experiment kind -> cell -> replication), so any cell can be
-re-run in isolation and output files are byte-identical across re-runs and
-worker counts.
+named spawn keys. A replication's multiplex and random silenced set are keyed
+on the replication alone, so every cell of a replication runs on them; each
+(cell, replication) run draws its dynamics from (experiment kind, cell,
+replication). Output files are byte-identical across re-runs and worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
 from .errors import InvalidArgumentError
-from .graph import build_multiplex, generate_ba, generate_ws
+from .graph import MultiplexNetwork, build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
 
 __all__ = [
@@ -31,11 +32,13 @@ __all__ = [
     "omega_ratio_sweep",
     "average_replications",
     "plateau_step",
+    "replication_multiplex",
 ]
 
 # Spawn-key namespaces for seed derivation.
 _KIND_HEATMAP, _KIND_TIMESERIES, _KIND_SWEEP = 1, 2, 3
-_NS_BA, _NS_WS, _NS_OMEGA, _NS_DYNAMICS = 0, 1, 2, 3
+# (rep, 0) and (rep, 1) seed the two layers, (rep, _NS_OMEGA) the random set.
+_NS_OMEGA, _NS_DYNAMICS = 2, 3
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class ExperimentSpec:
     omega: OmegaSpec = OmegaSpec(strategy="random", count=20, seed=0)
     replications: int = 10
     master_seed: int = 0
-    fresh_networks: bool = True
     max_steps: int = 100_000
     tail_window: int = 100
 
@@ -103,46 +105,60 @@ class _Outcome(NamedTuple):
     absorption_step: int | None
 
 
-def _run_task(task) -> Trajectory | _Outcome:
-    """Build one replication's multiplex and silenced set, then run it to absorption.
+def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexNetwork:
+    """Replication `rep`'s BA awareness and WS contact layers.
+
+    The layers are seeded from the spawn keys (rep, 0) and (rep, 1), so
+    replication 0 is the multiplex `muxepi generate` writes at the same seed.
+    """
+    ba_seed, ws_seed = np.random.SeedSequence(master_seed, spawn_key=(rep,)).spawn(2)
+    return build_multiplex(
+        generate_ba(n, ba_m, seed=ba_seed), generate_ws(n, ws_k, ws_p, seed=ws_seed)
+    )
+
+
+def _run_task(task) -> list[Trajectory | _Outcome]:
+    """Build one replication's multiplex and random silenced set, then run each cell on them.
 
     Only timeseries keeps the trajectory and its tail. Heatmap and sweep read
     the final rho_R, fixed once no node is infected, so they skip the tail;
-    each task has its own RNG stream, so no other task's draws move.
+    each run has its own RNG stream, so no other run's draws move.
     """
-    spec, kind, cell, rep, omega, lam, beta_u = task
-    key = (kind, cell, rep if spec.fresh_networks else 0)
-    net = build_multiplex(
-        generate_ba(spec.n, spec.ba_m, seed=_seed_rng(spec.master_seed, *key, _NS_BA)),
-        generate_ws(spec.n, spec.ws_k, spec.ws_p, seed=_seed_rng(spec.master_seed, *key, _NS_WS)),
-    )
-    if omega.strategy == "random":
-        omega = replace(omega, seed=_seed_int(spec.master_seed, *key, _NS_OMEGA))
+    spec, kind, rep, cells = task
+    net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep)
+    random_seed = _seed_int(spec.master_seed, rep, _NS_OMEGA)
     curves = kind == _KIND_TIMESERIES
-    traj = run_to_absorption(
-        net,
-        select_omega(omega, net.awareness_layer),
-        spec.params(lam, beta_u),
-        _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
-        tail_window=spec.tail_window if curves else 0,
-    )
-    return traj if curves else _Outcome(traj.final_rho_r, traj.absorbed, traj.absorption_step)
+    results = []
+    for cell, (omega, lam, beta_u) in enumerate(cells):
+        if omega.strategy == "random":
+            omega = replace(omega, seed=random_seed)
+        traj = run_to_absorption(
+            net,
+            select_omega(omega, net.awareness_layer),
+            spec.params(lam, beta_u),
+            _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
+            tail_window=spec.tail_window if curves else 0,
+        )
+        outcome = _Outcome(traj.final_rho_r, traj.absorbed, traj.absorption_step)
+        results.append(traj if curves else outcome)
+    return results
 
 
-def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[list]:
+def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[tuple]:
     """Each cell's replication results from `_run_task`, in cell order.
 
     A cell is (omega, lambda, beta_u); its index in `cells` is the cell part
-    of its spawn keys.
+    of its dynamics spawn key. One task is one replication, so at most
+    `spec.replications` workers run.
     """
-    reps = spec.replications
-    tasks = [(spec, kind, cell, rep, *c) for cell, c in enumerate(cells) for rep in range(reps)]
-    if jobs <= 1:
-        trajs = [_run_task(t) for t in tasks]
+    tasks = [(spec, kind, rep, cells) for rep in range(spec.replications)]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        reps = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            trajs = list(pool.map(_run_task, tasks, chunksize=1))
-    return [trajs[i : i + reps] for i in range(0, len(trajs), reps)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reps = list(pool.map(_run_task, tasks, chunksize=1))
+    return list(zip(*reps))
 
 
 def _non_absorbed(grid) -> int:
@@ -162,19 +178,13 @@ def average_replications(values):
 def plateau_step(rho_r: np.ndarray, tol: float = 0.01) -> int:
     """First step at which the recovered fraction is within tol of its final value."""
     rho_r = np.asarray(rho_r, dtype=np.float64)
-    final = rho_r[-1]
-    hits = np.nonzero(rho_r >= final - tol)[0]
-    return int(hits[0])
+    return int(np.argmax(rho_r >= rho_r[-1] - tol))  # the last step always qualifies
 
 
 def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
     """Stack curves of different lengths, carrying final values forward."""
     length = max(len(c) for c in curves)
-    out = np.empty((len(curves), length))
-    for i, c in enumerate(curves):
-        out[i, : len(c)] = c
-        out[i, len(c) :] = c[-1]
-    return out
+    return np.array([np.pad(c, (0, length - len(c)), mode="edge") for c in curves])
 
 
 def _write_csv(path, spec: ExperimentSpec, columns: str, rows) -> None:
@@ -241,11 +251,9 @@ class TimeseriesResult:
         _write_csv(path, self.spec, "beta_u,step,rho_R,rho_A", rows)
 
 
-def timeseries_experiment(
-    spec: ExperimentSpec, lam: float, betas, jobs: int = 1
-) -> TimeseriesResult:
-    """Replication-averaged rho_R(t) / rho_A(t) curves for each beta_u."""
-    betas = tuple(betas)
+def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResult:
+    """Replication-averaged rho_R(t) / rho_A(t) curves at the first lambda, for each beta_u."""
+    lam, betas = spec.lambdas[0], spec.betas
     grid = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, beta) for beta in betas], jobs)
     mean_rr, mean_ra, finals, tails, plateaus = {}, {}, {}, {}, {}
     for beta, trajs in zip(betas, grid):
@@ -289,15 +297,12 @@ class SweepResult:
         _write_csv(path, self.spec, "strategy,fraction,mean_rho_r,std_rho_r", rows)
 
 
-def omega_ratio_sweep(
-    spec: ExperimentSpec, strategies, fractions, jobs: int = 1
-) -> SweepResult:
+def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> SweepResult:
     """Mean final recovered fraction against the silenced-node fraction.
 
     Uses the single (lambda, beta_u) pair from the spec grids.
     """
-    strategies = tuple(strategies)
-    fractions = tuple(fractions)
+    strategies, fractions = tuple(strategies), tuple(fractions)
     lam, beta = spec.lambdas[0], spec.betas[0]
     keys = [(strat, frac) for strat in strategies for frac in fractions]
     cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]

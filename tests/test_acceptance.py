@@ -173,18 +173,22 @@ def silenced_hub_timeseries():
     three infection rates, degree_bottom at the highest one."""
     spec_top = ExperimentSpec(
         n=10000,
+        lambdas=(0.5,),
+        betas=(0.2, 0.5, 0.8),
         omega=OmegaSpec(strategy="degree_top", count=20),
         replications=10,
         master_seed=0,
     )
-    top = timeseries_experiment(spec_top, 0.5, (0.2, 0.5, 0.8))
+    top = timeseries_experiment(spec_top)
     spec_bottom = ExperimentSpec(
         n=10000,
+        lambdas=(0.5,),
+        betas=(0.8,),
         omega=OmegaSpec(strategy="degree_bottom", count=20),
         replications=10,
         master_seed=0,
     )
-    bottom = timeseries_experiment(spec_bottom, 0.5, (0.8,))
+    bottom = timeseries_experiment(spec_bottom)
     return top, bottom
 
 

@@ -70,6 +70,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="MUXEPI_SEED"):
             parse_config(subcommand="threshold")
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="--jobs"):
+            parse_config(subcommand="heatmap", jobs=jobs)
+        assert main(["heatmap", "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_subcommand(self):
         with pytest.raises(ConfigError, match="subcommand"):
             parse_config()
@@ -87,6 +95,10 @@ class TestMainErrors:
     def test_config_error_exit_code(self, capsys):
         assert main(["threshold", "--set", "mu=2.0"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_removed_fresh_networks_key_rejected(self, capsys):
+        assert main(["heatmap", "--set", "fresh_networks=true"]) == 2
+        assert "unknown key 'fresh_networks'" in capsys.readouterr().err
 
     def test_malformed_set_flag(self, capsys):
         assert main(["threshold", "--set", "mu"]) == 2

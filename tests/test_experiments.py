@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from muxepi import (
     average_replications,
     heatmap_experiment,
     omega_ratio_sweep,
+    read_edge_list,
     timeseries_experiment,
 )
 from muxepi import dynamics, experiments
+from muxepi.cli import main
 from muxepi.dynamics import mc_step
 from muxepi.experiments import plateau_step
 
@@ -99,7 +103,9 @@ class TestHeatmap:
         spec = small_spec()
         drivers = {
             "heatmap": lambda jobs: heatmap_experiment(spec, jobs=jobs),
-            "timeseries": lambda jobs: timeseries_experiment(spec, 0.5, [0.2, 0.6], jobs=jobs),
+            "timeseries": lambda jobs: timeseries_experiment(
+                small_spec(betas=(0.2, 0.6)), jobs=jobs
+            ),
             "sweep": lambda jobs: omega_ratio_sweep(
                 spec, ["random", "degree_top"], [0.0, 0.2], jobs=jobs
             ),
@@ -133,7 +139,7 @@ class TestHeatmap:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         spec = small_spec(n=60, betas=(0.3, 0.6), replications=3)
         pooled = heatmap_experiment(spec, jobs=32)
-        assert sizes == [6]
+        assert sizes == [3]
         assert np.array_equal(pooled.mean_rho_r, heatmap_experiment(spec, jobs=1).mean_rho_r)
 
     def test_csv_format(self, tmp_path):
@@ -180,23 +186,71 @@ class TestTailSkip:
     @pytest.mark.parametrize("kind", [experiments._KIND_HEATMAP, experiments._KIND_SWEEP])
     def test_heatmap_and_sweep_stop_at_absorption(self, step_calls, kind):
         spec = small_spec()
-        out = experiments._run_task((spec, kind, 0, 0, spec.omega, 0.5, 0.3))
+        [out] = experiments._run_task((spec, kind, 0, [(spec.omega, 0.5, 0.3)]))
         assert out.absorbed and out.absorption_step > 0
         assert len(step_calls) == out.absorption_step
 
     def test_timeseries_keeps_the_tail(self, step_calls):
         spec = small_spec(tail_window=37)
         kind = experiments._KIND_TIMESERIES
-        traj = experiments._run_task((spec, kind, 0, 0, spec.omega, 0.5, 0.3))
+        [traj] = experiments._run_task((spec, kind, 0, [(spec.omega, 0.5, 0.3)]))
         assert traj.absorbed
         assert len(step_calls) == traj.absorption_step + 37
         assert len(traj.steps) == traj.absorption_step + 1 + 37
 
 
+class TestSharedNetworks:
+    """A replication builds one multiplex and one random silenced set for all its cells."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+
+        def recorded(net, omega_set, *args, **kwargs):
+            calls.append((net, omega_set))
+            return dynamics.run_to_absorption(net, omega_set, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_to_absorption", recorded)
+        return calls
+
+    def test_one_network_build_per_replication(self, monkeypatch):
+        builds, real = [], experiments.generate_ba
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_ba", counted)
+        heatmap_experiment(small_spec(n=60, lambdas=(0.2, 0.8), betas=(0.1, 0.4, 0.7)))
+        assert len(builds) == 3
+
+    def test_every_cell_of_a_replication_shares_network_and_random_set(self, runs):
+        heatmap_experiment(small_spec(n=60, lambdas=(0.2, 0.8), betas=(0.1, 0.4, 0.7)))
+        assert len(runs) == 3 * 6
+        by_rep = [runs[i : i + 6] for i in range(0, len(runs), 6)]
+        for rep_runs in by_rep:
+            net, omega_set = rep_runs[0]
+            assert len(omega_set) == 4
+            for other_net, other_set in rep_runs[1:]:
+                assert other_net is net
+                assert np.array_equal(other_set, omega_set)
+        assert not np.array_equal(by_rep[0][0][1], by_rep[1][0][1])
+        assert by_rep[0][0][0].awareness_layer != by_rep[1][0][0].awareness_layer
+
+    def test_replication_zero_is_the_generated_multiplex(self, runs, tmp_path):
+        argv = ["generate", "--seed", "7", "--jobs", "1", "--set", "n=200", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        heatmap_experiment(small_spec(replications=2))
+        (net, _), (other, _) = runs
+        assert net.awareness_layer == read_edge_list(tmp_path / "awareness.edges")
+        assert net.contact_layer == read_edge_list(tmp_path / "contact.edges")
+        assert other.awareness_layer != net.awareness_layer
+
+
 class TestTimeseries:
     def test_curves_and_summaries(self):
-        spec = small_spec()
-        res = timeseries_experiment(spec, 0.5, [0.2, 0.6])
+        spec = small_spec(betas=(0.2, 0.6))
+        res = timeseries_experiment(spec)
         for beta in (0.2, 0.6):
             assert len(res.final_rho_r[beta]) == 3
             assert len(res.mean_rho_r[beta]) == len(res.mean_rho_a[beta])
@@ -208,13 +262,25 @@ class TestTimeseries:
 
     def test_csv_format(self, tmp_path):
         spec = small_spec()
-        res = timeseries_experiment(spec, 0.5, [0.3])
+        res = timeseries_experiment(spec)
         p = tmp_path / "ts.csv"
         res.write_csv(p)
         lines = p.read_text().splitlines()
         assert lines[1] == "beta_u,step,rho_R,rho_A,replications"
         assert len(lines) == 2 + len(res.mean_rho_r[0.3])
         assert all(float(x) is not None for x in lines[2].split(","))
+
+    def test_header_grid_is_the_rows_grid(self, tmp_path):
+        spec = small_spec(lambdas=(0.9,), betas=(0.2, 0.6), replications=1)
+        res = timeseries_experiment(spec)
+        assert res.lam == 0.9
+        p = tmp_path / "ts.csv"
+        res.write_csv(p)
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0].split("spec=", 1)[1])
+        row_betas = list(dict.fromkeys(float(line.split(",")[0]) for line in lines[2:]))
+        assert header["lambdas"] == [0.9]
+        assert header["betas"] == row_betas == [0.2, 0.6]
 
 
 class TestSweep:

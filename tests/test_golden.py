@@ -46,20 +46,20 @@ CASES = {
     "heatmap": (
         ["heatmap"] + EXPERIMENT + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
         {
-            "heatmap.csv": "12181de895939aee7da1d8828424b6fedf36ff169f753a6d91038898979a4df1",
+            "heatmap.csv": "879b51727847ca7124151bbcf9b071374cdbb0d16a482139252dbc4287d7dd4e",
         },
     ),
     "timeseries": (
         ["timeseries"] + EXPERIMENT + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
         {
-            "timeseries.csv": "d91c4f6281fdc53646c3704bde80b95f3c24f557a7fe133c9807b5309f74cf72",
+            "timeseries.csv": "74a99bd213d74c40e3866cc31f00837ad71a1144cdd507d5e7d59dea7bd588c5",
         },
     ),
     "sweep": (
         ["sweep"] + EXPERIMENT
         + ["--set", "strategies=betweenness_top,clustering_top,random", "--set", "fractions=0.1"],
         {
-            "sweep.csv": "372a3e31858a61e9abdd289de678e9716b4d9ce37494ceec848d5e3047ab6fad",
+            "sweep.csv": "366aa4e3cb4d6e2f90fea91ffc71b5d5da536419ed0e39eedefed712488b548f",
         },
     ),
 }
