@@ -20,7 +20,7 @@ from . import __version__
 from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
 from .errors import InvalidArgumentError
 from .graph import MultiplexNetwork, build_multiplex, generate_ba, generate_ws
-from .selection import OmegaSpec, select_omega
+from .selection import OmegaSpec, rankings, select_omega
 
 __all__ = [
     "ExperimentSpec",
@@ -127,14 +127,19 @@ def _run_task(task) -> list[Trajectory | _Outcome]:
     spec, kind, rep, cells = task
     net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep)
     random_seed = _seed_int(spec.master_seed, rep, _NS_OMEGA)
+    # Rank once per replication, for the strategies with a cell that silences anyone.
+    ranked = {o.strategy for o, _, _ in cells if o.strategy != "random" and o.resolved_size(spec.n)}
+    orders = rankings(sorted(ranked), net.awareness_layer)
     curves = kind == _KIND_TIMESERIES
     results = []
     for cell, (omega, lam, beta_u) in enumerate(cells):
-        if omega.strategy == "random":
-            omega = replace(omega, seed=random_seed)
+        if omega.strategy in orders:
+            silenced = np.sort(orders[omega.strategy][: omega.resolved_size(spec.n)])
+        else:  # random, or a ranked strategy that silences nobody
+            silenced = select_omega(replace(omega, seed=random_seed), net.awareness_layer)
         traj = run_to_absorption(
             net,
-            select_omega(omega, net.awareness_layer),
+            silenced,
             spec.params(lam, beta_u),
             _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
             tail_window=spec.tail_window if curves else 0,

@@ -225,48 +225,70 @@ def degree_sequence(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
+# Sources per block of the float betweenness (one sparse × dense product per BFS
+# level). On BA layers at N=10^3 and 10^4, one core of a 2-core Xeon, 16 ran as
+# fast as 32 or 64 with a quarter of 64's temporaries (~0.9 MB at N=10^3).
+_BRANDES_SOURCES = 16
+
+
 def betweenness(g: Graph, exact: bool = False):
     """Unnormalized betweenness centrality, ordered-pair convention.
 
     BC_i sums n_st^i / g_st over ordered pairs (s, t), s != t, both != i,
     counting shortest paths only; disconnected pairs contribute 0. Computed
-    with Brandes' dependency accumulation.
-
-    With exact=True all arithmetic uses Fractions and a list of Fractions is
-    returned; otherwise a float array.
+    with Brandes' dependency accumulation: a float array from level-synchronous
+    passes over blocks of sources (Buluc & Gilbert, Combinatorial BLAS, 2011),
+    or with exact=True a list of Fractions from one source at a time.
     """
     n = g.node_count
-    ptr, idx = g.indptr.tolist(), g.indices.tolist()
-    nbrs = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
-    zero = Fraction(0) if exact else 0.0
-    bc = [zero] * n
-    for s in range(n):
-        sigma = [zero] * n
-        sigma[s] = Fraction(1) if exact else 1.0
-        dist = [-1] * n
-        dist[s] = 0
-        # The BFS queue: nodes are appended in order of distance from s.
-        order = [s]
-        for v in order:
-            dv = dist[v] + 1
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dv
-                    order.append(w)
-                if dist[w] == dv:
-                    sigma[w] = sigma[w] + sigma[v]
-        delta = [zero] * n
-        for w in reversed(order):
-            # The shortest-path predecessors of w: its neighbours one step closer to s.
-            closer = dist[w] - 1
-            for v in nbrs[w]:
-                if dist[v] == closer:
-                    delta[v] = delta[v] + (sigma[v] / sigma[w]) * (1 + delta[w])
-            if w != s:
-                # Each source contributes the one-directional count; looping
-                # over every s yields the ordered-pair total.
-                bc[w] = bc[w] + delta[w]
-    return bc if exact else np.array(bc, dtype=np.float64)
+    if exact:
+        ptr, idx = g.indptr.tolist(), g.indices.tolist()
+        nbrs = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
+        bc = [Fraction(0)] * n
+        for s in range(n):
+            sigma, dist = [Fraction(0)] * n, [-1] * n
+            sigma[s], dist[s] = Fraction(1), 0
+            # The BFS queue: nodes are appended in order of distance from s.
+            order = [s]
+            for v in order:
+                dv = dist[v] + 1
+                for w in nbrs[v]:
+                    if dist[w] < 0:
+                        dist[w] = dv
+                        order.append(w)
+                    if dist[w] == dv:
+                        sigma[w] += sigma[v]
+            delta = [Fraction(0)] * n
+            for w in reversed(order):
+                # The shortest-path predecessors of w: its neighbours one step closer to s.
+                closer = dist[w] - 1
+                for v in nbrs[w]:
+                    if dist[v] == closer:
+                        delta[v] += (sigma[v] / sigma[w]) * (1 + delta[w])
+                if w != s:
+                    # Each source contributes the one-directional count; looping
+                    # over every s yields the ordered-pair total.
+                    bc[w] += delta[w]
+        return bc
+    a, bc = g.adjacency(), np.zeros(n)
+    for lo in range(0, n, _BRANDES_SOURCES):
+        sources = np.arange(lo, min(n, lo + _BRANDES_SOURCES))
+        sigma, level = np.zeros((n, len(sources))), np.full((n, len(sources)), -1)
+        sigma[sources, sources - lo], level[sources, sources - lo] = 1.0, 0
+        # Column j is source lo + j. Paths from the frontier into unvisited
+        # nodes are the sigma of the next level.
+        frontier, depth = sigma, 0
+        while (frontier := np.where(level < 0, a @ frontier, 0.0)).any():
+            depth += 1
+            level[frontier > 0] = depth
+            sigma += frontier
+        # delta_v = sigma_v * sum over successors w of (1 + delta_w) / sigma_w.
+        delta = np.zeros_like(sigma)
+        for d in range(depth, 1, -1):
+            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == d)
+            delta += np.where(level == d - 1, sigma * (a @ w), 0.0)
+        bc += delta.sum(axis=1)
+    return bc
 
 
 # Rows of A·A that clustering_coefficients holds at once. For one N=10^4,

@@ -24,7 +24,9 @@ STRATEGIES = (
     "clustering_bottom",
 )
 
-__all__ = ["STRATEGIES", "OmegaSpec", "select_omega", "write_omega_set", "read_omega_set"]
+__all__ = [
+    "STRATEGIES", "OmegaSpec", "rankings", "select_omega", "write_omega_set", "read_omega_set"
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,26 @@ class OmegaSpec:
         return int(round(self.fraction * n))
 
 
+def rankings(strategies, awareness: Graph) -> dict:
+    """Each ranked (non-random) strategy's full node order, most eligible first.
+
+    Ties break by ascending index. Each centrality is computed once, however
+    many of the strategies rank by it.
+    """
+    # Looked up per call, so wrappers installed on this module's names see the calls.
+    measures = dict(
+        degree=degree_sequence, betweenness=betweenness, clustering=clustering_coefficients
+    )
+    scores, orders = {}, {}
+    for strategy in strategies:
+        measure, end = strategy.rsplit("_", 1)
+        if measure not in scores:
+            scores[measure] = measures[measure](awareness).astype(np.float64)
+        score = -scores[measure] if end == "top" else scores[measure]
+        orders[strategy] = np.argsort(score, kind="stable")
+    return orders
+
+
 def select_omega(spec: OmegaSpec, awareness: Graph) -> np.ndarray:
     """Return the selected node indices as a sorted int64 array."""
     n = awareness.node_count
@@ -69,17 +91,7 @@ def select_omega(spec: OmegaSpec, awareness: Graph) -> np.ndarray:
     if spec.strategy == "random":
         rng = np.random.default_rng(spec.seed)
         return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    if spec.strategy.startswith("degree"):
-        score = degree_sequence(awareness).astype(np.float64)
-    elif spec.strategy.startswith("betweenness"):
-        score = betweenness(awareness)
-    else:
-        score = clustering_coefficients(awareness)
-    if spec.strategy.endswith("_top"):
-        score = -score
-    # Stable sort on score keeps ascending-index tie-break.
-    order = np.argsort(score, kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+    return np.sort(rankings([spec.strategy], awareness)[spec.strategy][:k]).astype(np.int64)
 
 
 def write_omega_set(nodes, path) -> None:

@@ -13,10 +13,11 @@ from muxepi import (
     read_edge_list,
     timeseries_experiment,
 )
-from muxepi import dynamics, experiments
+from muxepi import dynamics, experiments, selection
 from muxepi.cli import main
 from muxepi.dynamics import mc_step
 from muxepi.experiments import plateau_step
+from muxepi.selection import select_omega
 
 
 def small_spec(**kwargs):
@@ -320,3 +321,44 @@ class TestSweep:
         assert lines[1] == "strategy,fraction,mean_rho_r,std_rho_r,replications"
         assert lines[2].startswith("random,0.1,")
         assert [float(x) for x in lines[2].split(",")[1:]]
+
+
+class TestRankingCache:
+    """A replication ranks each centrality once and slices that order per fraction."""
+
+    STRATEGIES = ["betweenness_top", "betweenness_bottom", "clustering_top"]
+    FRACTIONS = [0.1, 0.2, 0.3]
+
+    def test_one_centrality_call_per_replication(self, monkeypatch, tmp_path):
+        calls = {"betweenness": 0, "clustering_coefficients": 0}
+        for name in calls:
+
+            def counted(g, name=name, real=getattr(selection, name)):
+                calls[name] += 1
+                return real(g)
+
+            monkeypatch.setattr(selection, name, counted)
+        spec = small_spec(replications=2)
+        blobs = []
+        for jobs in (1, 2):
+            res = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=jobs)
+            if jobs == 1:
+                assert calls == {"betweenness": 2, "clustering_coefficients": 2}
+            res.write_csv(tmp_path / f"sweep{jobs}.csv")
+            blobs.append((tmp_path / f"sweep{jobs}.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_sliced_orders_equal_select_omega(self, monkeypatch):
+        runs = []
+
+        def recorded(net, omega_set, *args, **kwargs):
+            runs.append((net, omega_set))
+            return dynamics.run_to_absorption(net, omega_set, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_to_absorption", recorded)
+        omega_ratio_sweep(small_spec(replications=2), self.STRATEGIES, [0.0] + self.FRACTIONS)
+        cells = [(s, f) for s in self.STRATEGIES for f in [0.0] + self.FRACTIONS]
+        assert len(runs) == 2 * len(cells)
+        for (net, omega_set), (strategy, fraction) in zip(runs, cells * 2):
+            expected = select_omega(OmegaSpec(strategy=strategy, fraction=fraction), net.awareness_layer)
+            assert omega_set.tolist() == expected.tolist()

@@ -181,6 +181,44 @@ class TestBetweenness:
         g = Graph(n, random_graph(n, 0.15, rng))
         assert betweenness(g, exact=True) == brute_force_betweenness(g)
 
+    @pytest.mark.parametrize(
+        "g, expected",
+        [(Graph(0, []), []), (Graph(1, []), [0.0]), (Graph(5, []), [0.0] * 5)],
+        ids=["empty", "one_node", "edge_free"],
+    )
+    def test_boundary_graphs(self, g, expected):
+        bc = betweenness(g)
+        assert bc.dtype == np.float64
+        assert bc.tolist() == expected
+
+    def test_short_source_blocks_match_exact(self, monkeypatch):
+        # Ten blocks of 7 sources, the last one short, over several components.
+        rng = np.random.default_rng(8)
+        g = Graph(68, random_graph(68, 0.04, rng))
+        monkeypatch.setattr(graph, "_BRANDES_SOURCES", 7)
+        exact = [float(x) for x in betweenness(g, exact=True)]
+        np.testing.assert_allclose(betweenness(g), exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_ba(500, 3, seed=1),
+            lambda: generate_ba(1000, 4, seed=2),
+            lambda: generate_ws(800, 6, 0.2, seed=3),
+        ],
+        ids=["ba500", "ba1000", "ws800"],
+    )
+    def test_matches_networkx(self, make):
+        nx = pytest.importorskip("networkx")
+        g = make()
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from(g.edges())
+        # networkx counts unordered pairs, so an undirected graph gets half.
+        ref = nx.betweenness_centrality(h, normalized=False)
+        expected = [2 * ref[i] for i in range(g.node_count)]
+        np.testing.assert_allclose(betweenness(g), expected, rtol=1e-12, atol=0)
+
 
 class TestClustering:
     def test_complete_graph(self):
