@@ -75,19 +75,23 @@ class DynamicsParams:
 
 @dataclass
 class StateVector:
-    """Per-node joint state at one time step. Arrays are owned by one trajectory."""
+    """Per-node joint state at one time step. Arrays are owned by one trajectory.
+
+    `aware_nbrs` counts each node's aware neighbours in the awareness layer and
+    `infected_nbrs` its infected neighbours in the contact layer. `mc_step`
+    counts them once when they are None and carries them from step to step.
+    """
 
     disease: np.ndarray  # int8, values S/I/R
     aware: np.ndarray  # bool
     omega: np.ndarray  # bool, fixed for the whole run
     step: int = 0
+    aware_nbrs: np.ndarray | None = None  # intp
+    infected_nbrs: np.ndarray | None = None  # intp
 
     @property
     def node_count(self) -> int:
         return len(self.disease)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.disease.copy(), self.aware.copy(), self.omega, self.step)
 
 
 @dataclass
@@ -135,8 +139,28 @@ def init_states(
     seeds = rng.choice(n, size=n_seed, replace=False)
     disease = np.full(n, S, dtype=np.int8)
     disease[seeds] = I
-    aware = (disease == I) & ~omega
-    return StateVector(disease=disease, aware=aware, omega=omega, step=0)
+    infected = disease == I
+    aware = infected & ~omega
+    n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected)))
+    return StateVector(disease, aware, omega, 0, n_aware, n_inf)
+
+
+def _neighbours(csr, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joined CSR rows of `nodes`, and the length of each row."""
+    indptr, indices = csr
+    hi = indptr[1:][nodes]
+    lens = hi - indptr[nodes]
+    # Entry j of the joined rows lies at its row's end, minus the joined end, plus j.
+    offset = np.repeat(hi - lens.cumsum(), lens)
+    return indices[offset + np.arange(len(offset))], lens
+
+
+def _neighbour_counts(net: MultiplexNetwork, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aware neighbours in the awareness layer and infected neighbours in the
+    contact layer, from `held`: the aware then the infected mask, stacked."""
+    n = net.node_count
+    nbr_counts = np.bincount(_neighbours(net.stacked, held.nonzero()[0])[0], minlength=2 * n)
+    return nbr_counts[:n], nbr_counts[n:]
 
 
 def _powers(base, count: np.ndarray) -> np.ndarray:
@@ -154,56 +178,74 @@ def mc_step(
     """One synchronous step; neighbor influences read the time-t snapshot.
 
     Random numbers are drawn as fixed-length arrays in a fixed order, so the
-    trajectory is independent of any notional node iteration order.
+    trajectory is independent of any notional node iteration order. The
+    neighbour counts are carried over, moved only by the nodes that flipped.
     """
     n = states.node_count
-    a_mat = net.awareness_layer.adjacency()
-    b_mat = net.contact_layer.adjacency()
     disease = states.disease
     aware = states.aware
     omega = states.omega
     infected_t = disease == I
+    held = np.concatenate((aware, infected_t))  # the counted nodes, in `net.stacked` order
+    n_aware, n_inf = states.aware_nbrs, states.infected_nbrs
+    if n_aware is None or n_inf is None:
+        n_aware, n_inf = _neighbour_counts(net, held)
+    # The same values as five rng.random(n) calls in this order.
+    u_inform, u_forget, u_infect, u_recover, u_post_forget = rng.random((5, n))
 
     # Substep 1: awareness. Each aware neighbor informs independently with
     # probability lam, so staying unaware has probability (1-lam)^(#aware).
-    n_aware = (a_mat @ aware.astype(np.float64)).astype(np.intp)
-    p_stay_unaware = _powers(1.0 - params.lam, n_aware)[n_aware]
-    u_inform = rng.random(n)
-    informed = ~aware & ~omega & (u_inform >= p_stay_unaware)
-    u_forget = rng.random(n)
+    # Without an aware neighbour that is 1.0, which no uniform in [0, 1)
+    # reaches, so only the other nodes are compared. For booleans, x > y is
+    # x and not y.
+    can_learn = ((n_aware > 0) > (aware | omega)).nonzero()[0]
+    k = n_aware[can_learn]
+    informed = can_learn[u_inform[can_learn] >= _powers(1.0 - params.lam, k)[k]]
     # Infected non-omega nodes are pinned aware until they recover.
-    forgets = aware & ~omega & (disease != I) & (u_forget < params.delta)
-    aware_mid = (aware | informed) & ~forgets
+    forgets = (aware & (u_forget < params.delta)) > (omega | infected_t)
+    aware_mid = aware ^ forgets
+    aware_mid[informed] = True
 
     # Substep 2: infection at the post-awareness susceptibility.
-    # Row 0 of the table escapes at beta_u (unaware), row 1 at beta_a (aware).
-    n_inf = (b_mat @ infected_t.astype(np.float64)).astype(np.intp)
-    escape = _powers(np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]), n_inf)
-    p_escape = escape[aware_mid.astype(np.intp), n_inf]
-    u_infect = rng.random(n)
-    newly_infected = (disease == S) & (u_infect >= p_escape)
+    # Row 0 of the table escapes at beta_u (unaware), row 1 at beta_a (aware);
+    # the escape is 1.0 without an infected contact.
+    exposed = ((disease == S) & (n_inf > 0)).nonzero()[0]
+    k = n_inf[exposed]
+    escape = _powers(np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]), k)
+    p_escape = escape[aware_mid.view(np.uint8)[exposed], k]
+    newly_infected = exposed[u_infect[exposed] >= p_escape]
 
     # Substep 3: recovery of nodes infected at time t, then same-step forgetting.
-    u_recover = rng.random(n)
-    recovers = infected_t & (u_recover < params.mu)
-    u_post_forget = rng.random(n)
-    post_forgets = recovers & ~omega & (u_post_forget < params.delta)
+    infected = infected_t.nonzero()[0]
+    recovers = infected[u_recover[infected] < params.mu]
+    post_forgets = recovers[(u_post_forget[recovers] < params.delta) > omega[recovers]]
 
     disease_next = disease.copy()
     disease_next[newly_infected] = I
     disease_next[recovers] = R
-    aware_next = aware_mid.copy()
-    aware_next[newly_infected & ~omega] = True
+    aware_next = aware_mid  # substep 2 has read it
+    aware_next[newly_infected[~omega[newly_infected]]] = True
     aware_next[post_forgets] = False
-    return StateVector(
-        disease=disease_next, aware=aware_next, omega=omega, step=states.step + 1
-    )
+
+    # One signed push over the joined neighbour lists of the nodes that
+    # entered (+1) or left (-1) the aware or the infected set: it costs their
+    # degree sum, not the edge count.
+    held_next = np.concatenate((aware_next, disease_next == I))
+    flips = (held_next != held).nonzero()[0]
+    if len(flips):
+        nbr_counts = np.concatenate((n_aware, n_inf))
+        nbrs, lens = _neighbours(net.stacked, flips)
+        np.add.at(nbr_counts, nbrs, np.repeat(np.where(held_next[flips], 1, -1), lens))
+        n_aware, n_inf = nbr_counts[:n], nbr_counts[n:]
+    return StateVector(disease_next, aware_next, omega, states.step + 1, n_aware, n_inf)
 
 
 def counts(states: StateVector) -> np.ndarray:
     """The S, I, R and A fractions: exact integer tallies over N."""
-    disease = states.disease
-    tallies = [np.count_nonzero(disease == c) for c in (S, I, R)]
+    # S is 0, so the nonzero entries of disease are the I and R nodes.
+    ever_infected = np.count_nonzero(states.disease)
+    infected = np.count_nonzero(states.disease == I)
+    tallies = [states.node_count - ever_infected, infected, ever_infected - infected]
     return np.array([*tallies, np.count_nonzero(states.aware)]) / states.node_count
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +35,8 @@ class Graph:
     """Simple undirected graph stored once, as a symmetric CSR with sorted rows.
 
     `indptr` and `indices` are read-only; the graph is never mutated after
-    __init__, so it is safe for concurrent reads.
+    __init__, so it is safe for concurrent reads. The scipy adjacency is built
+    on first use; two threads may both build it, always to the same matrix.
     """
 
     def __init__(self, node_count: int, edges):
@@ -58,7 +60,7 @@ class Graph:
         self.indices = cols
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-        self._adjacency = sparse.csr_matrix((np.ones(len(cols)), cols, self.indptr), shape=(n, n))
+        self._adjacency = None
 
     @property
     def edge_count(self) -> int:
@@ -68,13 +70,6 @@ class Graph:
         """Sorted neighbour indices of node i (a read-only view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.node_count):
-            return False
-        row = self.neighbors(i)
-        k = int(np.searchsorted(row, j))
-        return k < len(row) and int(row[k]) == j
-
     def edges(self):
         """Iterate canonical (i, j) pairs with i < j, sorted: the upper triangle."""
         rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
@@ -83,6 +78,10 @@ class Graph:
 
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric 0/1 adjacency as a scipy CSR over the graph's own indptr/indices."""
+        if self._adjacency is None:
+            n = self.node_count
+            ones = np.ones(len(self.indices))
+            self._adjacency = sparse.csr_matrix((ones, self.indices, self.indptr), shape=(n, n))
         return self._adjacency
 
     def __eq__(self, other):
@@ -114,6 +113,16 @@ class MultiplexNetwork:
     @property
     def node_count(self) -> int:
         return self.awareness_layer.node_count
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR indptr and indices of both layers as one graph on 2N nodes:
+        awareness node i is node i, contact node i is node N + i."""
+        a, b = self.awareness_layer, self.contact_layer
+        return (
+            np.concatenate((a.indptr, b.indptr[1:] + len(a.indices))),
+            np.concatenate((a.indices, b.indices + self.node_count)),
+        )
 
 
 def build_multiplex(a: Graph, b: Graph) -> MultiplexNetwork:

@@ -25,7 +25,7 @@ STRATEGIES = (
 )
 
 __all__ = [
-    "STRATEGIES", "OmegaSpec", "rankings", "select_omega", "write_omega_set", "read_omega_set"
+    "STRATEGIES", "OmegaSpec", "rankings", "select_omega", "write_omega_set"
 ]
 
 
@@ -99,9 +99,3 @@ def write_omega_set(nodes, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for i in nodes:
             fh.write(f"{int(i)}\n")
-
-
-def read_omega_set(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        nodes = [int(line) for line in fh if line.strip()]
-    return np.array(sorted(nodes), dtype=np.int64)

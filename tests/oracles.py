@@ -74,6 +74,17 @@ def dense_spectral_radius(matrix, rtol=1e-13, max_iter=100_000):
     raise RuntimeError(f"Collatz-Wielandt bounds still {hi - lo:.2e} apart")
 
 
+def has_edge(g, i, j):
+    """Whether j is among node i's neighbours, by a plain scan of its row."""
+    return j in g.neighbors(i).tolist()
+
+
+def read_omega_set(path):
+    """The sorted node indices of a file `write_omega_set` wrote, one per line."""
+    with open(path, encoding="ascii") as fh:
+        return sorted(int(line) for line in fh if line.strip())
+
+
 def random_graph(n, p, rng):
     """Erdos-Renyi edge list for oracle comparisons."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def hub_net(n=80, seed=4):
 def assert_matches_reference(params, steps=20):
     net = hub_net()
     sv_a = init_states(net, [0, 5, 11], params, np.random.default_rng(7))
-    sv_b = sv_a.copy()
+    sv_b = replace(sv_a, disease=sv_a.disease.copy(), aware=sv_a.aware.copy())
     rng_a = np.random.default_rng(123)
     rng_b = np.random.default_rng(123)
     hub_aware_nbrs = set()
@@ -256,6 +258,107 @@ class TestMcStep:
             assert np.abs(acc_a[t] / reps - p_a).max() < 0.03
             assert np.abs(acc_i[t] / reps - p_i).max() < 0.03
             assert np.abs(acc_r[t] / reps - p_r).max() < 0.03
+
+
+def spmv_counts(net, sv):
+    """Aware awareness-layer and infected contact-layer neighbours, by one SpMV each."""
+    return (
+        net.awareness_layer.adjacency() @ sv.aware.astype(np.float64),
+        net.contact_layer.adjacency() @ (sv.disease == I).astype(np.float64),
+    )
+
+
+def isolated_net(n=120, seed=6):
+    """small_net with nodes 0-9 cut off in the awareness layer and 5-14 in the contact layer."""
+    net = small_net(n, seed=seed)
+
+    def cut(g, lo, hi):
+        return Graph(n, [(i, j) for i, j in g.edges() if not (lo <= i < hi or lo <= j < hi)])
+
+    return build_multiplex(cut(net.awareness_layer, 0, 10), cut(net.contact_layer, 5, 15))
+
+
+def carry_case(name):
+    """(net, params, first state) of one carried-count scenario."""
+    params = default_params(initial_infected_fraction=0.05)
+    rng = np.random.default_rng(30)
+    if name == "all_silenced":
+        net = small_net()
+        return net, params, init_states(net, range(net.node_count), params, rng)
+    if name in ("all_infected", "none_aware_or_infected"):  # hand-built: counted on entry
+        net = small_net()
+        n = net.node_count
+        disease = np.full(n, I if name == "all_infected" else S, dtype=np.int8)
+        return net, params, StateVector(disease, disease == I, np.zeros(n, dtype=bool))
+    if name == "isolated_nodes":
+        net = isolated_net()
+        return net, params, init_states(net, [2, 7, 40], params, rng)
+    if name == "hub":
+        net = hub_net()
+        return net, params, init_states(net, [0, 5, 11], params, rng)
+    assert name == "lam_one_burst"
+    net = small_net()
+    params = default_params(lam=1.0, delta=0.5, initial_infected_fraction=0.2)
+    return net, params, init_states(net, [], params, rng)
+
+
+class TestCarriedCounts:
+    @pytest.mark.parametrize(
+        "case",
+        ["all_silenced", "all_infected", "none_aware_or_infected", "isolated_nodes", "hub",
+         "lam_one_burst"],
+    )
+    def test_equal_spmv_recount_after_every_step(self, case):
+        net, params, sv = carry_case(case)
+        if sv.aware_nbrs is not None:
+            a_counts, b_counts = spmv_counts(net, sv)
+            assert np.array_equal(sv.aware_nbrs, a_counts)
+            assert np.array_equal(sv.infected_nbrs, b_counts)
+        rng = np.random.default_rng(31)
+        flips = []
+        for _ in range(40):
+            nxt = mc_step(sv, net, params, rng)
+            a_counts, b_counts = spmv_counts(net, nxt)
+            assert nxt.aware_nbrs.dtype == np.intp and nxt.infected_nbrs.dtype == np.intp
+            assert np.array_equal(nxt.aware_nbrs, a_counts)
+            assert np.array_equal(nxt.infected_nbrs, b_counts)
+            flips.append(np.count_nonzero(nxt.aware != sv.aware))
+            sv = nxt
+        if case == "all_silenced":
+            assert not sv.aware.any()
+        if case == "lam_one_burst":
+            assert max(flips) > net.node_count // 2
+
+    def test_hand_built_state_steps_like_carried(self):
+        net = hub_net()
+        params = default_params(initial_infected_fraction=0.05)
+        carried = init_states(net, [0, 5, 11], params, np.random.default_rng(3))
+        rng_a = np.random.default_rng(8)
+        rng_b = np.random.default_rng(8)
+        bare = carried
+        for _ in range(30):
+            # A fresh hand-built state each step, so every step counts on entry.
+            bare = StateVector(bare.disease.copy(), bare.aware.copy(), bare.omega, bare.step)
+            assert bare.aware_nbrs is None and bare.infected_nbrs is None
+            carried = mc_step(carried, net, params, rng_a)
+            bare = mc_step(bare, net, params, rng_b)
+            assert (carried.disease == bare.disease).all()
+            assert (carried.aware == bare.aware).all()
+
+    def test_step_draws_five_uniforms_per_node(self):
+        net = small_net()
+        n = net.node_count
+        params = default_params()
+        sv = init_states(net, [3], params, np.random.default_rng(0))
+        rng = np.random.default_rng(42)
+        twin = np.random.default_rng(42)
+        mc_step(sv, net, params, rng)
+        twin.random(5 * n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # One (5, N) draw holds the values of five N draws, in order.
+        rng_a = np.random.default_rng(43)
+        rng_b = np.random.default_rng(43)
+        assert np.array_equal(rng_a.random((5, n)), [rng_b.random(n) for _ in range(5)])
 
 
 class TestRunToAbsorption:
