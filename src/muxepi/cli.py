@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams
 from .errors import ConfigError, InvalidArgumentError, MuxepiError
 from .experiments import (
     ExperimentSpec,
@@ -192,29 +191,6 @@ def _gamma(config: RunConfig, betas) -> float:
     return beta_a / betas[0]
 
 
-def _dynamics_params(config: RunConfig) -> DynamicsParams:
-    beta_u = config.get("beta_u")
-    return DynamicsParams(
-        lam=config.get("lambda"),
-        delta=config.get("delta"),
-        beta_u=beta_u,
-        gamma=_gamma(config, (beta_u,)),
-        mu=config.get("mu"),
-        initial_infected_fraction=config.get("initial_infected_fraction"),
-        max_steps=config.get("max_steps"),
-    )
-
-
-def _omega_spec(config: RunConfig, default_count: int) -> OmegaSpec:
-    count = config.values.get("omega_count")
-    fraction = config.values.get("omega_fraction")
-    if count is None and fraction is None:
-        count = default_count
-    return OmegaSpec(
-        strategy=config.get("omega_strategy"), count=count, fraction=fraction, seed=config.seed
-    )
-
-
 def _networks(config: RunConfig):
     aw_path = config.values.get("awareness_edges")
     ct_path = config.values.get("contact_edges")
@@ -227,8 +203,13 @@ def _networks(config: RunConfig):
     return replication_multiplex(*(config.get(k) for k in keys), config.seed)
 
 
-def _experiment_spec(config: RunConfig, lambdas, betas) -> ExperimentSpec:
-    omega = _omega_spec(config, default_count=20)
+def _experiment_spec(config: RunConfig, lambdas, betas, default_count=20) -> ExperimentSpec:
+    """The spec of the run; its silenced set has `default_count` nodes unless sized by a key."""
+    count = config.values.get("omega_count")
+    fraction = config.values.get("omega_fraction")
+    if count is None and fraction is None:
+        count = default_count
+    omega = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction, seed=config.seed)
     return ExperimentSpec(
         n=config.get("n"),
         ba_m=config.get("ba_m"),
@@ -280,9 +261,9 @@ def _generate(config: RunConfig, out) -> dict:
 def _mmca_inputs(config: RunConfig):
     """The multiplex, dynamics parameters and silenced set of threshold and mmca."""
     net = _networks(config)
-    params = _dynamics_params(config)
-    omega_set = select_omega(_omega_spec(config, default_count=0), net.awareness_layer)
-    return net, params, omega_set
+    lam, beta_u = config.get("lambda"), config.get("beta_u")
+    spec = _experiment_spec(config, (lam,), (beta_u,), default_count=0)
+    return net, spec.params(lam, beta_u), select_omega(spec.omega, net.awareness_layer)
 
 
 def _threshold(config: RunConfig, out) -> dict:

@@ -99,9 +99,11 @@ class Trajectory:
     """Per-step fractions of one realization, plus absorption bookkeeping."""
 
     steps: np.ndarray  # (T, 4) float64; row t holds the S, I, R and A fractions
-    absorbed: bool
-    absorption_step: int | None
-    tail_window: int
+    absorption_step: int | None  # None when the run hit max_steps
+
+    @property
+    def absorbed(self) -> bool:
+        return self.absorption_step is not None
 
     @property
     def final_rho_r(self) -> float:
@@ -109,13 +111,12 @@ class Trajectory:
 
     @property
     def mean_tail_rho_a(self) -> float:
-        """Awareness fraction averaged over the post-absorption tail.
+        """Awareness fraction averaged over the rows after `absorption_step`.
 
-        Falls back to the last recorded value when the run never absorbed.
+        Falls back to the last recorded value when there are none.
         """
-        if self.absorbed and self.tail_window > 0:
-            return float(np.mean(self.steps[-self.tail_window :, A]))
-        return float(self.steps[-1, A])
+        tail = self.steps[self.absorption_step + 1 :, A] if self.absorbed else ()
+        return float(np.mean(tail)) if len(tail) else float(self.steps[-1, A])
 
 
 def omega_mask(n: int, omega_set) -> np.ndarray:
@@ -261,22 +262,12 @@ def run_to_absorption(
     averaged."""
     sv = init_states(net, omega_set, params, rng)
     history = [counts(sv)]
-    absorbed = False
     absorption_step = None
-    for _ in range(params.max_steps):
+    end = params.max_steps
+    while sv.step < end:
         sv = mc_step(sv, net, params, rng)
         history.append(counts(sv))
-        if history[-1][I] == 0.0:
-            absorbed = True
+        if absorption_step is None and history[-1][I] == 0.0:
             absorption_step = sv.step
-            break
-    if absorbed:
-        for _ in range(tail_window):
-            sv = mc_step(sv, net, params, rng)
-            history.append(counts(sv))
-    return Trajectory(
-        steps=np.array(history),
-        absorbed=absorbed,
-        absorption_step=absorption_step,
-        tail_window=tail_window,
-    )
+            end = absorption_step + tail_window
+    return Trajectory(np.array(history), absorption_step)

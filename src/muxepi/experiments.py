@@ -24,9 +24,8 @@ from .selection import OmegaSpec, rankings, select_omega
 
 __all__ = [
     "ExperimentSpec",
-    "HeatmapResult",
+    "GridResult",
     "TimeseriesResult",
-    "SweepResult",
     "heatmap_experiment",
     "timeseries_experiment",
     "omega_ratio_sweep",
@@ -65,6 +64,7 @@ class ExperimentSpec:
         if not self.lambdas or not self.betas:
             raise InvalidArgumentError("lambda and beta grids must be non-empty")
         for name in ("lambdas", "betas"):
+            _reject_repeats(name, getattr(self, name))
             for v in getattr(self, name):
                 if not 0.0 <= v <= 1.0:
                     raise InvalidArgumentError(f"{name} entry {v} outside [0,1]")
@@ -87,6 +87,12 @@ class ExperimentSpec:
     def serialize(self) -> str:
         d = asdict(self)
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+def _reject_repeats(name: str, values) -> None:
+    """A repeated grid entry would run its cells twice under one label."""
+    if len(set(values)) < len(values):
+        raise InvalidArgumentError(f"{name} has a repeated entry: {tuple(values)}")
 
 
 def _seed_rng(master_seed: int, *key) -> np.random.Generator:
@@ -200,39 +206,52 @@ def _write_csv(path, spec: ExperimentSpec, columns: str, rows) -> None:
             fh.write(f"{row},{spec.replications}\n")
 
 
+def _label(value) -> str:
+    """A strategy as is, a number as its float repr: 0 and np.float64(0) give 0.0."""
+    return value if isinstance(value, str) else repr(float(value))
+
+
 @dataclass
-class HeatmapResult:
+class GridResult:
+    """Mean and std of the final rho_R over replications in each cell of a grid.
+
+    Cell (i, j) is (rows[i], cols[j]): (lambda, beta_u) or (strategy, fraction).
+    """
+
     spec: ExperimentSpec
-    lambdas: np.ndarray
-    betas: np.ndarray
-    mean_rho_r: np.ndarray  # shape (len(lambdas), len(betas))
+    columns: str  # the CSV column header
+    rows: tuple
+    cols: tuple
+    mean_rho_r: np.ndarray  # shape (len(rows), len(cols))
     std_rho_r: np.ndarray
     non_absorbed: int
 
+    def curve(self, row) -> np.ndarray:
+        return self.mean_rho_r[self.rows.index(row)]
+
     def write_csv(self, path) -> None:
-        rows = (
-            f"{float(lam)!r},{float(beta)!r},{float(self.mean_rho_r[i, j])!r},"
+        lines = (
+            f"{_label(r)},{_label(c)},{float(self.mean_rho_r[i, j])!r},"
             f"{float(self.std_rho_r[i, j])!r}"
-            for i, lam in enumerate(self.lambdas)
-            for j, beta in enumerate(self.betas)
+            for i, r in enumerate(self.rows)
+            for j, c in enumerate(self.cols)
         )
-        _write_csv(path, self.spec, "lambda,beta_u,mean_rho_r,std_rho_r", rows)
+        _write_csv(path, self.spec, self.columns, lines)
 
 
-def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> HeatmapResult:
+def _grid_result(spec, kind, columns, rows, cols, cells, jobs) -> GridResult:
+    """Run the cells, row-major over rows x cols, and average each cell's replications."""
+    grid = _run_grid(spec, kind, cells, jobs)
+    stats = np.array([average_replications([t.final_rho_r for t in outs]) for outs in grid])
+    mean, std = stats.T.reshape(2, len(rows), len(cols))
+    return GridResult(spec, columns, rows, cols, mean, std, _non_absorbed(grid))
+
+
+def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
     cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
-    grid = _run_grid(spec, _KIND_HEATMAP, cells, jobs)
-    stats = np.array([average_replications([t.final_rho_r for t in trajs]) for trajs in grid])
-    shape = (len(spec.lambdas), len(spec.betas))
-    return HeatmapResult(
-        spec=spec,
-        lambdas=np.asarray(spec.lambdas, dtype=np.float64),
-        betas=np.asarray(spec.betas, dtype=np.float64),
-        mean_rho_r=stats[:, 0].reshape(shape),
-        std_rho_r=stats[:, 1].reshape(shape),
-        non_absorbed=_non_absorbed(grid),
-    )
+    columns = "lambda,beta_u,mean_rho_r,std_rho_r"
+    return _grid_result(spec, _KIND_HEATMAP, columns, spec.lambdas, spec.betas, cells, jobs)
 
 
 @dataclass
@@ -280,44 +299,16 @@ def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResu
     )
 
 
-@dataclass
-class SweepResult:
-    spec: ExperimentSpec
-    strategies: tuple
-    fractions: tuple
-    mean_rho_r: dict  # (strategy, fraction) -> mean
-    std_rho_r: dict
-    non_absorbed: int
-
-    def curve(self, strategy: str) -> np.ndarray:
-        return np.array([self.mean_rho_r[(strategy, f)] for f in self.fractions])
-
-    def write_csv(self, path) -> None:
-        rows = (
-            f"{strat},{float(frac)!r},{float(self.mean_rho_r[(strat, frac)])!r},"
-            f"{float(self.std_rho_r[(strat, frac)])!r}"
-            for strat in self.strategies
-            for frac in self.fractions
-        )
-        _write_csv(path, self.spec, "strategy,fraction,mean_rho_r,std_rho_r", rows)
-
-
-def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> SweepResult:
+def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> GridResult:
     """Mean final recovered fraction against the silenced-node fraction.
 
     Uses the single (lambda, beta_u) pair from the spec grids.
     """
     strategies, fractions = tuple(strategies), tuple(fractions)
+    _reject_repeats("strategies", strategies)
+    _reject_repeats("fractions", fractions)
     lam, beta = spec.lambdas[0], spec.betas[0]
     keys = [(strat, frac) for strat in strategies for frac in fractions]
     cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]
-    grid = _run_grid(spec, _KIND_SWEEP, cells, jobs)
-    stats = [average_replications([t.final_rho_r for t in trajs]) for trajs in grid]
-    return SweepResult(
-        spec=spec,
-        strategies=strategies,
-        fractions=fractions,
-        mean_rho_r={k: m for k, (m, _) in zip(keys, stats)},
-        std_rho_r={k: sd for k, (_, sd) in zip(keys, stats)},
-        non_absorbed=_non_absorbed(grid),
-    )
+    columns = "strategy,fraction,mean_rho_r,std_rho_r"
+    return _grid_result(spec, _KIND_SWEEP, columns, strategies, fractions, cells, jobs)

@@ -130,10 +130,17 @@ class TestMainErrors:
             (["threshold", "--seed", "-1"], "seed"),
             (["threshold", "--set", "awareness_edges=a.edges"], "contact_edges is missing"),
             (["threshold", "--set", "contact_edges=c.edges"], "awareness_edges is missing"),
+            (["sweep", "--set", "strategies=random,random", "--set", "replications=1"],
+             "strategies"),
+            (["sweep", "--set", "fractions=0.1,0.1", "--set", "replications=1"], "fractions"),
+            (["heatmap", "--set", "lambdas=0.5,0.5", "--set", "betas=0.2"], "lambdas"),
+            (["timeseries", "--set", "betas=0.3,0.3", "--set", "replications=1"], "betas"),
+            (["mmca", "--set", "replications=0"], "replications"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
-             "awareness_edges_alone", "contact_edges_alone"],
+             "awareness_edges_alone", "contact_edges_alone", "repeated_strategy",
+             "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications"],
     )
     def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])

@@ -378,6 +378,24 @@ class TestRunToAbsorption:
         traj = run_to_absorption(net, [], params, np.random.default_rng(21), tail_window=50)
         assert len(traj.steps) == traj.absorption_step + 1 + 50
 
+    def test_step_cap_at_the_absorption_step_still_absorbs_and_keeps_the_tail(self):
+        net = small_net()
+        first = run_to_absorption(net, [], default_params(), np.random.default_rng(21),
+                                  tail_window=30)
+        t = first.absorption_step
+        capped = run_to_absorption(net, [], default_params(max_steps=t),
+                                   np.random.default_rng(21), tail_window=30)
+        assert capped.absorbed and capped.absorption_step == t
+        assert len(capped.steps) == t + 1 + 30
+        assert np.array_equal(capped.steps, first.steps)
+
+    def test_run_that_never_absorbs_keeps_every_capped_step(self):
+        net = small_net()
+        params = default_params(mu=0.0, max_steps=40)
+        traj = run_to_absorption(net, [], params, np.random.default_rng(21), tail_window=30)
+        assert not traj.absorbed and traj.absorption_step is None
+        assert len(traj.steps) == 40 + 1
+
     def test_counts_exact_fractions(self):
         sv = StateVector(np.array([S, I, R, R], dtype=np.int8),
                          np.array([False, True, False, True]),

@@ -77,6 +77,23 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             omega_ratio_sweep(small_spec(), ["random"], [0.0, 1.5])
 
+    @pytest.mark.parametrize("key", ["lambdas", "betas"])
+    def test_repeated_grid_entry_rejected(self, key):
+        with pytest.raises(InvalidArgumentError, match=key):
+            small_spec(**{key: (0.3, 0.1, 0.3)})
+
+    @pytest.mark.parametrize(
+        "strategies, fractions, key",
+        [
+            (["random", "random"], [0.1], "strategies"),
+            (["random"], [0.1, 0.1], "fractions"),
+            (["degree_top"], [0, 0.0], "fractions"),  # 0 and 0.0 both write 0.0
+        ],
+    )
+    def test_repeated_sweep_entry_rejected(self, strategies, fractions, key):
+        with pytest.raises(InvalidArgumentError, match=key):
+            omega_ratio_sweep(small_spec(), strategies, fractions)
+
 
 class TestHeatmap:
     def test_zero_beta_column_is_exact_seed_fraction(self):
@@ -154,6 +171,38 @@ class TestHeatmap:
         assert len(lines) == 2 + 1  # one grid cell
         fields = lines[2].split(",")
         assert [float(x) for x in fields[:4]] and int(fields[4]) == 3
+
+
+class TestGridResult:
+    """One result type for the heatmap and the sweep, with the old CSV bytes."""
+
+    def test_linspace_axes_write_plain_float_reprs(self, tmp_path):
+        # The CLI's default heatmap axes are numpy float64 values.
+        axis = tuple(np.linspace(0.0, 1.0, 21))
+        rng = np.random.default_rng(3)
+        mean, std = rng.random((2, 21, 21))
+        res = experiments.GridResult(
+            small_spec(), "lambda,beta_u,mean_rho_r,std_rho_r", axis, axis, mean, std, 0
+        )
+        res.write_csv(tmp_path / "hm.csv")
+        rows = (tmp_path / "hm.csv").read_text().splitlines()[2:]
+        assert rows == [
+            f"{float(lam)!r},{float(beta)!r},{float(mean[i, j])!r},{float(std[i, j])!r},3"
+            for i, lam in enumerate(axis)
+            for j, beta in enumerate(axis)
+        ]
+        assert rows[1].startswith("0.0,0.05,")
+
+    def test_int_fraction_written_as_float(self, tmp_path):
+        res = omega_ratio_sweep(small_spec(replications=1), ["random"], [0, 0.1])
+        res.write_csv(tmp_path / "sw.csv")
+        rows = (tmp_path / "sw.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[:2] for r in rows] == [["random", "0.0"], ["random", "0.1"]]
+
+    def test_heatmap_curve_is_a_lambda_row(self):
+        res = heatmap_experiment(small_spec(n=60, lambdas=(0.2, 0.8), betas=(0.1, 0.4, 0.7)))
+        assert np.array_equal(res.curve(0.8), res.mean_rho_r[1])
+        assert np.array_equal(res.curve(0.2), res.mean_rho_r[0])
 
 
 class TestTailSkip:
@@ -292,7 +341,7 @@ class TestSweep:
         spec = small_spec(n=500, replications=6)
         res = omega_ratio_sweep(spec, ["random", "degree_top", "degree_bottom"], [0.0, 1.0])
         for frac in (0.0, 1.0):
-            vals = [res.mean_rho_r[(s, frac)] for s in res.strategies]
+            vals = res.mean_rho_r[:, res.cols.index(frac)]
             assert max(vals) - min(vals) < 0.05
 
     def test_curve_accessor(self):
@@ -300,7 +349,7 @@ class TestSweep:
         res = omega_ratio_sweep(spec, ["degree_top"], [0.0, 0.2])
         curve = res.curve("degree_top")
         assert curve.shape == (2,)
-        assert curve[0] == res.mean_rho_r[("degree_top", 0.0)]
+        assert curve[0] == res.mean_rho_r[res.rows.index("degree_top"), res.cols.index(0.0)]
 
     def test_reproducible(self, tmp_path):
         spec = small_spec()
