@@ -51,15 +51,12 @@ class DynamicsParams:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        for name in ("lam", "delta", "beta_u", "gamma"):
+        # mu=0 is allowed so degenerate no-recovery chains can be stepped; the
+        # threshold formula requires mu > 0 and enforces it at its call site.
+        for name in ("lam", "delta", "beta_u", "gamma", "mu"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidArgumentError(f"{name} must be in [0,1], got {v}")
-        # mu=0 is allowed here so degenerate no-recovery chains can be stepped;
-        # absorption guarantees and the threshold formula require mu > 0 and
-        # enforce it at their call sites.
-        if not 0.0 <= self.mu <= 1.0:
-            raise InvalidArgumentError(f"mu must be in [0,1], got {self.mu}")
         if not 0.0 < self.initial_infected_fraction < 1.0:
             raise InvalidArgumentError(
                 "initial_infected_fraction must be in (0,1), got "
@@ -77,17 +74,18 @@ class DynamicsParams:
 class StateVector:
     """Per-node joint state at one time step. Arrays are owned by one trajectory.
 
-    `aware_nbrs` counts each node's aware neighbours in the awareness layer and
-    `infected_nbrs` its infected neighbours in the contact layer. `mc_step`
-    counts them once when they are None and carries them from step to step.
+    `mc_step` builds each of the last four fields when it is None and carries
+    it from step to step.
     """
 
     disease: np.ndarray  # int8, values S/I/R
     aware: np.ndarray  # bool
     omega: np.ndarray  # bool, fixed for the whole run
     step: int = 0
-    aware_nbrs: np.ndarray | None = None  # intp
-    infected_nbrs: np.ndarray | None = None  # intp
+    aware_nbrs: np.ndarray | None = None  # intp, aware neighbours in the awareness layer
+    infected_nbrs: np.ndarray | None = None  # intp, infected neighbours in the contact layer
+    tallies: np.ndarray | None = None  # int64, the S, I, R and aware node counts
+    tables: tuple | None = None  # the run's power tables, from `_power_tables`
 
     @property
     def node_count(self) -> int:
@@ -143,7 +141,7 @@ def init_states(
     infected = disease == I
     aware = infected & ~omega
     n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected)))
-    return StateVector(disease, aware, omega, 0, n_aware, n_inf)
+    return StateVector(disease, aware, omega, 0, n_aware, n_inf, tables=_power_tables(net, params))
 
 
 def _neighbours(csr, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +162,12 @@ def _neighbour_counts(net: MultiplexNetwork, held: np.ndarray) -> tuple[np.ndarr
     return nbr_counts[:n], nbr_counts[n:]
 
 
-def _powers(base, count: np.ndarray) -> np.ndarray:
-    """base ** k for k = 0..max(count) along the last axis; indexed by count,
-    it gives the same bits as base ** count (same power loop, same operands)."""
-    return base ** np.arange(count.max(initial=0) + 1)
+def _power_tables(net: MultiplexNetwork, params: DynamicsParams) -> tuple:
+    """(params, (1-lam)^k, [(1-beta_u)^k, (1-beta_a)^k]) for k up to the largest
+    degree, which no count exceeds; entry k has the same bits at any length."""
+    k = np.arange(np.diff(net.stacked[0]).max() + 1)
+    escape = np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]) ** k
+    return params, (1.0 - params.lam) ** k, escape
 
 
 def mc_step(
@@ -178,48 +178,48 @@ def mc_step(
 ) -> StateVector:
     """One synchronous step; neighbor influences read the time-t snapshot.
 
-    Random numbers are drawn as fixed-length arrays in a fixed order, so the
-    trajectory is independent of any notional node iteration order. The
-    neighbour counts are carried over, moved only by the nodes that flipped.
+    Only the nodes that can change draw, in a fixed order: one uniform per
+    node that can learn, the heads of N forget coins, one uniform per exposed
+    susceptible, per infected and per recovering node. The neighbour counts
+    and tallies are carried over, moved only by the nodes that flipped.
     """
     n = states.node_count
-    disease = states.disease
-    aware = states.aware
-    omega = states.omega
+    disease, aware, omega = states.disease, states.aware, states.omega
     infected_t = disease == I
     held = np.concatenate((aware, infected_t))  # the counted nodes, in `net.stacked` order
     n_aware, n_inf = states.aware_nbrs, states.infected_nbrs
     if n_aware is None or n_inf is None:
         n_aware, n_inf = _neighbour_counts(net, held)
-    # The same values as five rng.random(n) calls in this order.
-    u_inform, u_forget, u_infect, u_recover, u_post_forget = rng.random((5, n))
+    tallies = _tallies(states) if states.tallies is None else states.tallies
+    tables = states.tables
+    if tables is None or tables[0] is not params:
+        tables = _power_tables(net, params)
+    _, stay_unaware, escape = tables
 
     # Substep 1: awareness. Each aware neighbor informs independently with
     # probability lam, so staying unaware has probability (1-lam)^(#aware).
     # Without an aware neighbour that is 1.0, which no uniform in [0, 1)
-    # reaches, so only the other nodes are compared. For booleans, x > y is
-    # x and not y.
+    # reaches, so only the other nodes draw. For booleans, x > y is x and not y.
     can_learn = ((n_aware > 0) > (aware | omega)).nonzero()[0]
-    k = n_aware[can_learn]
-    informed = can_learn[u_inform[can_learn] >= _powers(1.0 - params.lam, k)[k]]
-    # Infected non-omega nodes are pinned aware until they recover.
-    forgets = (aware & (u_forget < params.delta)) > (omega | infected_t)
-    aware_mid = aware ^ forgets
+    informed = can_learn[rng.random(len(can_learn)) >= stay_unaware[n_aware[can_learn]]]
+    # The heads of N delta-coins are a Binomial(N, delta) count of uniform nodes.
+    # Infected non-omega nodes stay aware until they recover; other aware nodes forget.
+    heads = rng.choice(n, rng.binomial(n, params.delta), replace=False, shuffle=False)
+    aware_mid = aware.copy()
+    aware_mid[heads[aware[heads] > (omega | infected_t)[heads]]] = False
     aware_mid[informed] = True
 
     # Substep 2: infection at the post-awareness susceptibility.
     # Row 0 of the table escapes at beta_u (unaware), row 1 at beta_a (aware);
     # the escape is 1.0 without an infected contact.
     exposed = ((disease == S) & (n_inf > 0)).nonzero()[0]
-    k = n_inf[exposed]
-    escape = _powers(np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]), k)
-    p_escape = escape[aware_mid.view(np.uint8)[exposed], k]
-    newly_infected = exposed[u_infect[exposed] >= p_escape]
+    p_escape = escape[aware_mid.view(np.uint8)[exposed], n_inf[exposed]]
+    newly_infected = exposed[rng.random(len(exposed)) >= p_escape]
 
     # Substep 3: recovery of nodes infected at time t, then same-step forgetting.
     infected = infected_t.nonzero()[0]
-    recovers = infected[u_recover[infected] < params.mu]
-    post_forgets = recovers[(u_post_forget[recovers] < params.delta) > omega[recovers]]
+    recovers = infected[rng.random(len(infected)) < params.mu]
+    post_forgets = recovers[(rng.random(len(recovers)) < params.delta) > omega[recovers]]
 
     disease_next = disease.copy()
     disease_next[newly_infected] = I
@@ -230,24 +230,30 @@ def mc_step(
 
     # One signed push over the joined neighbour lists of the nodes that
     # entered (+1) or left (-1) the aware or the infected set: it costs their
-    # degree sum, not the edge count.
+    # degree sum, not the edge count. The aware flips come first in `flips`.
     held_next = np.concatenate((aware_next, disease_next == I))
     flips = (held_next != held).nonzero()[0]
+    signs = np.where(held_next[flips], 1, -1)
     if len(flips):
         nbr_counts = np.concatenate((n_aware, n_inf))
         nbrs, lens = _neighbours(net.stacked, flips)
-        np.add.at(nbr_counts, nbrs, np.repeat(np.where(held_next[flips], 1, -1), lens))
+        np.add.at(nbr_counts, nbrs, np.repeat(signs, lens))
         n_aware, n_inf = nbr_counts[:n], nbr_counts[n:]
-    return StateVector(disease_next, aware_next, omega, states.step + 1, n_aware, n_inf)
+    new, rec = len(newly_infected), len(recovers)
+    tallies = tallies + [-new, new - rec, rec, signs[: np.searchsorted(flips, n)].sum()]
+    return StateVector(
+        disease_next, aware_next, omega, states.step + 1, n_aware, n_inf, tallies, tables
+    )
+
+
+def _tallies(states: StateVector) -> np.ndarray:
+    """The S, I, R and aware node counts."""
+    return np.append(np.bincount(states.disease, minlength=3), np.count_nonzero(states.aware))
 
 
 def counts(states: StateVector) -> np.ndarray:
     """The S, I, R and A fractions: exact integer tallies over N."""
-    # S is 0, so the nonzero entries of disease are the I and R nodes.
-    ever_infected = np.count_nonzero(states.disease)
-    infected = np.count_nonzero(states.disease == I)
-    tallies = [states.node_count - ever_infected, infected, ever_infected - infected]
-    return np.array([*tallies, np.count_nonzero(states.aware)]) / states.node_count
+    return _tallies(states) / states.node_count
 
 
 def run_to_absorption(
@@ -266,8 +272,8 @@ def run_to_absorption(
     end = params.max_steps
     while sv.step < end:
         sv = mc_step(sv, net, params, rng)
-        history.append(counts(sv))
-        if absorption_step is None and history[-1][I] == 0.0:
+        history.append(sv.tallies / sv.node_count)  # the fractions `counts` would give
+        if absorption_step is None and sv.tallies[I] == 0:
             absorption_step = sv.step
             end = absorption_step + tail_window
     return Trajectory(np.array(history), absorption_step)

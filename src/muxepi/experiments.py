@@ -61,10 +61,8 @@ class ExperimentSpec:
     tail_window: int = 100
 
     def __post_init__(self):
-        if not self.lambdas or not self.betas:
-            raise InvalidArgumentError("lambda and beta grids must be non-empty")
         for name in ("lambdas", "betas"):
-            _reject_repeats(name, getattr(self, name))
+            _check_axis(name, getattr(self, name))
             for v in getattr(self, name):
                 if not 0.0 <= v <= 1.0:
                     raise InvalidArgumentError(f"{name} entry {v} outside [0,1]")
@@ -89,8 +87,10 @@ class ExperimentSpec:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-def _reject_repeats(name: str, values) -> None:
-    """A repeated grid entry would run its cells twice under one label."""
+def _check_axis(name: str, values) -> None:
+    """An empty axis runs no cell; a repeated entry would run its cells twice under one label."""
+    if not values:
+        raise InvalidArgumentError(f"{name} is empty")
     if len(set(values)) < len(values):
         raise InvalidArgumentError(f"{name} has a repeated entry: {tuple(values)}")
 
@@ -305,8 +305,8 @@ def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1
     Uses the single (lambda, beta_u) pair from the spec grids.
     """
     strategies, fractions = tuple(strategies), tuple(fractions)
-    _reject_repeats("strategies", strategies)
-    _reject_repeats("fractions", fractions)
+    _check_axis("strategies", strategies)
+    _check_axis("fractions", fractions)
     lam, beta = spec.lambdas[0], spec.betas[0]
     keys = [(strat, frac) for strat in strategies for frac in fractions]
     cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the algorithms used in the package (Brandes, the
-sparse Lanczos solve and the dense LAPACK eigensolver, the vectorized Monte
+sparse Lanczos solve and the dense LAPACK eigensolver, the sparse-draw Monte
 Carlo step) so agreement is meaningful. The MMCA reference step is the one
 exception: it keeps the earlier six-component update, with its own branch
 for silenced nodes, so the single update can be checked bit for bit.
@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from muxepi.dynamics import I, R, S, StateVector
 
 
 def brute_force_betweenness(g):
@@ -160,6 +162,38 @@ def triangle_clustering(n, edges):
         links = sum(1 for a in range(d) for b in range(a + 1, d) if nbrs[b] in adj[nbrs[a]])
         out.append(2.0 * links / (d * (d - 1)) if d >= 2 else 0.0)
     return out
+
+
+# --- dense Monte Carlo step -------------------------------------------------
+
+
+def dense_step(states, net, params, rng):
+    """One synchronous UAU-SIR step from five uniforms per node.
+
+    The five length-N uniform arrays are drawn in a fixed order (inform,
+    forget, infect, recover, post-forget), and the neighbour counts come from
+    one SpMV per layer. This was the package's step before it drew only for
+    the nodes that can change; it has that step's law, so it is the
+    distributional oracle of `mc_step`, and `reference_step` in the tests
+    checks it node by node.
+    """
+    disease, aware, omega = states.disease, states.aware, states.omega
+    u_inform, u_forget, u_infect, u_recover, u_post_forget = rng.random((5, len(disease)))
+    infected_t = disease == I
+    n_aware = net.awareness_layer.adjacency() @ aware.astype(np.float64)
+    n_inf = net.contact_layer.adjacency() @ infected_t.astype(np.float64)
+    informed = ~aware & ~omega & (u_inform >= (1.0 - params.lam) ** n_aware)
+    forgets = aware & ~omega & ~infected_t & (u_forget < params.delta)
+    aware_mid = (aware & ~forgets) | informed
+    p_escape = np.where(aware_mid, 1.0 - params.beta_a, 1.0 - params.beta_u) ** n_inf
+    newly_infected = (disease == S) & (u_infect >= p_escape)
+    recovers = infected_t & (u_recover < params.mu)
+    post_forgets = recovers & ~omega & (u_post_forget < params.delta)
+    disease_next = disease.copy()
+    disease_next[newly_infected] = I
+    disease_next[recovers] = R
+    aware_next = (aware_mid | (newly_infected & ~omega)) & ~post_forgets
+    return StateVector(disease_next, aware_next, omega, states.step + 1)
 
 
 # --- exact two-node joint Markov chain -------------------------------------

@@ -32,6 +32,8 @@ from muxepi.cli import main as cli_main
 from muxepi.experiments import ExperimentSpec, heatmap_experiment, omega_ratio_sweep, timeseries_experiment
 from oracles import brute_force_betweenness, dense_spectral_radius, random_graph
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")

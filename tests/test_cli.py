@@ -136,11 +136,14 @@ class TestMainErrors:
             (["heatmap", "--set", "lambdas=0.5,0.5", "--set", "betas=0.2"], "lambdas"),
             (["timeseries", "--set", "betas=0.3,0.3", "--set", "replications=1"], "betas"),
             (["mmca", "--set", "replications=0"], "replications"),
+            (["sweep", "--set", "strategies=", "--set", "replications=1"], "strategies is empty"),
+            (["sweep", "--set", "fractions=", "--set", "replications=1"], "fractions is empty"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
              "awareness_edges_alone", "contact_edges_alone", "repeated_strategy",
-             "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications"],
+             "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications",
+             "empty_strategies", "empty_fractions"],
     )
     def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])

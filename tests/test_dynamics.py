@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, norm
 
 from muxepi import (
     DynamicsParams,
@@ -16,7 +17,7 @@ from muxepi import (
     run_to_absorption,
 )
 from muxepi.dynamics import A, I, R, S, StateVector
-from oracles import two_node_chain_marginals
+from oracles import _node_transition, dense_step, two_node_chain_marginals
 
 
 def small_net(n=200, seed=0):
@@ -74,7 +75,7 @@ class TestInitStates:
 
 def reference_step(states, net, params, rng):
     """Per-node-loop transcription of the update rules, consuming the same
-    five uniform arrays in the same order as the vectorized step."""
+    five uniform arrays in the same order as the dense oracle step."""
     n = states.node_count
     u_inform = rng.random(n)
     u_forget = rng.random(n)
@@ -122,6 +123,7 @@ def hub_net(n=80, seed=4):
 
 
 def assert_matches_reference(params, steps=20):
+    """The dense oracle step against its per-node transcription, bit for bit."""
     net = hub_net()
     sv_a = init_states(net, [0, 5, 11], params, np.random.default_rng(7))
     sv_b = replace(sv_a, disease=sv_a.disease.copy(), aware=sv_a.aware.copy())
@@ -130,11 +132,11 @@ def assert_matches_reference(params, steps=20):
     hub_aware_nbrs = set()
     for _ in range(steps):
         hub_aware_nbrs.add(int(np.count_nonzero(sv_a.aware[:-1])))
-        sv_a = mc_step(sv_a, net, params, rng_a)
+        sv_a = dense_step(sv_a, net, params, rng_a)
         sv_b = reference_step(sv_b, net, params, rng_b)
         assert (sv_a.disease == sv_b.disease).all()
         assert (sv_a.aware == sv_b.aware).all()
-    # The hub sees every other node, so the awareness table's length moves with it.
+    # The hub sees every other node, so its aware-neighbour count moves.
     assert len(hub_aware_nbrs) > 1
 
 
@@ -142,8 +144,8 @@ class TestMcStep:
     def test_matches_per_node_reference(self):
         assert_matches_reference(default_params(initial_infected_fraction=0.05))
 
-    # lam=1 and beta_u=1 put base 0 into the power tables, where 0**0 must
-    # stay 1.0; gamma=0 makes the aware row of the escape table all ones.
+    # lam=1 and beta_u=1 put base 0 into the powers, where 0**0 must stay
+    # 1.0; gamma=0 makes every aware escape probability one.
     @pytest.mark.parametrize(
         "rates",
         [
@@ -296,6 +298,10 @@ def carry_case(name):
     if name == "hub":
         net = hub_net()
         return net, params, init_states(net, [0, 5, 11], params, rng)
+    if name == "never_absorbs":
+        net = small_net()
+        params = default_params(mu=0.0, initial_infected_fraction=0.05)
+        return net, params, init_states(net, [3, 8], params, rng)
     assert name == "lam_one_burst"
     net = small_net()
     params = default_params(lam=1.0, delta=0.5, initial_infected_fraction=0.2)
@@ -306,9 +312,10 @@ class TestCarriedCounts:
     @pytest.mark.parametrize(
         "case",
         ["all_silenced", "all_infected", "none_aware_or_infected", "isolated_nodes", "hub",
-         "lam_one_burst"],
+         "lam_one_burst", "never_absorbs"],
     )
     def test_equal_spmv_recount_after_every_step(self, case):
+        # The S/I/R/A tallies are carried too: they must equal a fresh count.
         net, params, sv = carry_case(case)
         if sv.aware_nbrs is not None:
             a_counts, b_counts = spmv_counts(net, sv)
@@ -322,12 +329,16 @@ class TestCarriedCounts:
             assert nxt.aware_nbrs.dtype == np.intp and nxt.infected_nbrs.dtype == np.intp
             assert np.array_equal(nxt.aware_nbrs, a_counts)
             assert np.array_equal(nxt.infected_nbrs, b_counts)
+            assert nxt.tallies.dtype == np.int64
+            assert np.array_equal(nxt.tallies / net.node_count, counts(nxt))
             flips.append(np.count_nonzero(nxt.aware != sv.aware))
             sv = nxt
         if case == "all_silenced":
             assert not sv.aware.any()
         if case == "lam_one_burst":
             assert max(flips) > net.node_count // 2
+        if case == "never_absorbs":
+            assert sv.tallies[I] > 0
 
     def test_hand_built_state_steps_like_carried(self):
         net = hub_net()
@@ -345,20 +356,46 @@ class TestCarriedCounts:
             assert (carried.disease == bare.disease).all()
             assert (carried.aware == bare.aware).all()
 
-    def test_step_draws_five_uniforms_per_node(self):
+    def test_step_without_aware_or_infected_draws_only_forget_coins(self):
+        # Nobody can learn, be infected or recover, so the step's only draws
+        # are the heads of the N forget coins: a binomial count, then a
+        # uniform subset of that size.
         net = small_net()
         n = net.node_count
-        params = default_params()
-        sv = init_states(net, [3], params, np.random.default_rng(0))
-        rng = np.random.default_rng(42)
-        twin = np.random.default_rng(42)
-        mc_step(sv, net, params, rng)
-        twin.random(5 * n)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        # One (5, N) draw holds the values of five N draws, in order.
-        rng_a = np.random.default_rng(43)
-        rng_b = np.random.default_rng(43)
-        assert np.array_equal(rng_a.random((5, n)), [rng_b.random(n) for _ in range(5)])
+        disease = np.where(np.arange(n) % 3 == 0, R, S).astype(np.int8)
+        sv = StateVector(disease, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+        for delta in (0.04, 1.0, 0.0):
+            rng = np.random.default_rng(42)
+            twin = np.random.default_rng(42)
+            nxt = mc_step(sv, net, default_params(delta=delta), rng)
+            twin.choice(n, twin.binomial(n, delta), replace=False, shuffle=False)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert np.array_equal(nxt.disease, disease) and not nxt.aware.any()
+
+    @pytest.mark.parametrize("rates", [dict(), dict(lam=1.0, beta_u=1.0, gamma=0.0)])
+    def test_power_tables_hold_base_to_the_k(self, rates):
+        net = hub_net()
+        params = default_params(**rates)
+        sv = init_states(net, [], params, np.random.default_rng(5))
+        owner, stay_unaware, escape = sv.tables
+        assert owner is params
+        largest = max(np.diff(g.indptr).max() for g in (net.awareness_layer, net.contact_layer))
+        assert len(stay_unaware) == escape.shape[1] == largest + 1
+        # Entry k has the bits that a table built up to a largest count of k
+        # holds, and agrees with the scalar power to rounding.
+        for k in range(largest + 1):
+            for entry, base in ((stay_unaware[k], 1.0 - params.lam),
+                                (escape[0, k], 1.0 - params.beta_u),
+                                (escape[1, k], 1.0 - params.beta_a)):
+                assert entry == (base ** np.arange(k + 1))[k]
+                assert entry == pytest.approx(base ** k, rel=1e-14, abs=0.0)
+        assert stay_unaware[0] == escape[0, 0] == escape[1, 0] == 1.0
+        # Built once per run: every step carries the same tables.
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            nxt = mc_step(sv, net, params, rng)
+            assert nxt.tables is sv.tables
+            sv = nxt
 
 
 class TestRunToAbsorption:
@@ -396,6 +433,19 @@ class TestRunToAbsorption:
         assert not traj.absorbed and traj.absorption_step is None
         assert len(traj.steps) == 40 + 1
 
+    def test_rows_are_the_counts_of_each_step(self):
+        # Rows come from the carried tallies: the fractions `counts` gives.
+        net = small_net()
+        params = default_params(initial_infected_fraction=0.05)
+        traj = run_to_absorption(net, [4, 9], params, np.random.default_rng(22), tail_window=10)
+        rng = np.random.default_rng(22)
+        sv = init_states(net, [4, 9], params, rng)
+        rows = [counts(sv)]
+        for _ in range(len(traj.steps) - 1):
+            sv = mc_step(sv, net, params, rng)
+            rows.append(counts(sv))
+        assert traj.absorbed and np.array_equal(traj.steps, rows)
+
     def test_counts_exact_fractions(self):
         sv = StateVector(np.array([S, I, R, R], dtype=np.int8),
                          np.array([False, True, False, True]),
@@ -428,3 +478,86 @@ class TestMeanTailRhoA:
         assert not traj.absorbed and traj.absorption_step is None
         assert len(traj.steps) == 3
         assert traj.mean_tail_rho_a == traj.steps[-1, A]
+
+
+def mixed_state(net, rng):
+    """A hand-built state holding every kind of node: susceptible aware and
+    unaware, infected, recovered aware and unaware, and silenced ones."""
+    n = net.node_count
+    disease = rng.choice([S, I, R], size=n, p=[0.6, 0.15, 0.25]).astype(np.int8)
+    omega = np.arange(n) % 9 == 0
+    aware = ((disease == I) | (rng.random(n) < 0.4)) & ~omega
+    return StateVector(disease, aware, omega)
+
+
+# The disease codes of `_node_transition`'s state names; below, a node's joint
+# state (disease, aware) is counted in column 2 * disease + aware.
+_LABELS = {"S": S, "I": I, "R": R}
+
+
+def run_summary(step, net, omega, params, rng, tail=20):
+    """(final rho_R, absorption step, tail-mean rho_A) of one run driven by `step`."""
+    sv = init_states(net, omega, params, rng)
+    rows = [counts(sv)]
+    while rows[-1][I] > 0:
+        sv = step(sv, net, params, rng)
+        rows.append(counts(sv))
+    t = len(rows) - 1
+    for _ in range(tail):
+        sv = step(sv, net, params, rng)
+        rows.append(counts(sv))
+    return rows[t][R], t, np.mean([row[A] for row in rows[t + 1 :]])
+
+
+class TestSparseDrawLaw:
+    """The sparse-draw step against the dense five-uniform step in law."""
+
+    ALPHA = 0.001  # per test, fixed before the first run
+
+    @pytest.mark.parametrize("rates", [dict(), dict(lam=1.0, beta_u=1.0, gamma=0.0)])
+    def test_one_step_frequencies_match_node_transitions(self, rates):
+        net = small_net(100, seed=3)
+        n = net.node_count
+        params = replace(default_params(lam=0.3, delta=0.3, mu=0.3), **rates)
+        sv = mixed_state(net, np.random.default_rng(40))
+        a_counts, b_counts = spmv_counts(net, sv)
+        expected = np.zeros((n, 6))
+        for i in np.flatnonzero(~sv.omega):
+            state = ("SIR"[sv.disease[i]], bool(sv.aware[i]))
+            for (d, aw), p in _node_transition(state, a_counts[i], b_counts[i], params).items():
+                expected[i, 2 * _LABELS[d] + aw] = p
+        trials = 4000
+        hits = np.zeros((n, 6))
+        rng = np.random.default_rng(41)
+        for _ in range(trials):
+            nxt = mc_step(sv, net, params, rng)
+            assert not nxt.aware[sv.omega].any()
+            hits[np.arange(n), 2 * nxt.disease + nxt.aware] += 1
+        ordinary = ~sv.omega
+        freq, p = hits[ordinary] / trials, expected[ordinary]
+        assert np.allclose(p.sum(axis=1), 1.0)
+        sure = (p == 0.0) | (p == 1.0)
+        assert np.array_equal(freq[sure], p[sure])
+        p, freq = p[~sure], freq[~sure]
+        # Every tested outcome is expected at least 10 times each way, so the
+        # normal approximation holds; Bonferroni over all tested pairs.
+        assert (trials * p * (1 - p)).min() >= 10
+        z = np.abs(freq - p) / np.sqrt(p * (1 - p) / trials)
+        assert z.max() < norm.isf(self.ALPHA / (2 * len(p)))
+
+    @pytest.mark.parametrize(
+        "rates",
+        [dict(lam=0.5, beta_u=0.3), dict(lam=0.9, beta_u=0.5, gamma=0.2),
+         dict(lam=1.0, beta_u=0.4, gamma=0.0)],
+    )
+    def test_runs_match_dense_step_in_distribution(self, rates):
+        net = small_net(150, seed=8)
+        params = default_params(delta=0.2, mu=0.2, initial_infected_fraction=0.02, **rates)
+        samples = [
+            np.array([run_summary(step, net, [1, 2, 3, 4, 5], params, rng) for _ in range(300)])
+            for step, rng in ((mc_step, np.random.default_rng((71, 0))),
+                              (dense_step, np.random.default_rng((71, 1))))
+        ]
+        # Final rho_R, absorption step and tail rho_A, one two-sample KS test each.
+        for column in range(3):
+            assert ks_2samp(samples[0][:, column], samples[1][:, column]).pvalue > self.ALPHA

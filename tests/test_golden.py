@@ -46,20 +46,20 @@ CASES = {
     "heatmap": (
         ["heatmap"] + EXPERIMENT + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
         {
-            "heatmap.csv": "879b51727847ca7124151bbcf9b071374cdbb0d16a482139252dbc4287d7dd4e",
+            "heatmap.csv": "158fe27ba28d5acf44a512c68e3d6cf5ad5100deb2136e8fadc9f148739f4815",
         },
     ),
     "timeseries": (
         ["timeseries"] + EXPERIMENT + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
         {
-            "timeseries.csv": "74a99bd213d74c40e3866cc31f00837ad71a1144cdd507d5e7d59dea7bd588c5",
+            "timeseries.csv": "4c126009d5e74ad4d19849f40be1d0a115111c717b7fbffa4397d1a8610fdbfb",
         },
     ),
     "sweep": (
         ["sweep"] + EXPERIMENT
         + ["--set", "strategies=betweenness_top,clustering_top,random", "--set", "fractions=0.1"],
         {
-            "sweep.csv": "366aa4e3cb4d6e2f90fea91ffc71b5d5da536419ed0e39eedefed712488b548f",
+            "sweep.csv": "2492971483492032981f6baf26e358993518f6a1f7761187abe8da2f98b51ddd",
         },
     ),
 }
