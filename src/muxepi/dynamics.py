@@ -216,10 +216,11 @@ def mc_step(
     p_escape = escape[aware_mid.view(np.uint8)[exposed], n_inf[exposed]]
     newly_infected = exposed[rng.random(len(exposed)) >= p_escape]
 
-    # Substep 3: recovery of nodes infected at time t, then same-step forgetting.
+    # Substep 3: recovery of nodes infected at time t, then same-step forgetting;
+    # a silenced node is never aware, so its forgetting changes nothing.
     infected = infected_t.nonzero()[0]
     recovers = infected[rng.random(len(infected)) < params.mu]
-    post_forgets = recovers[(rng.random(len(recovers)) < params.delta) > omega[recovers]]
+    post_forgets = recovers[rng.random(len(recovers)) < params.delta]
 
     disease_next = disease.copy()
     disease_next[newly_infected] = I

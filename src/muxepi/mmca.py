@@ -9,7 +9,7 @@ once), so it is never aware and its infected mass stays unaware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +47,9 @@ class MmcaState:
 
     p_i is the infected mass of every node: aware on ordinary nodes, unaware
     on silenced ones, which also keep p_as = p_ar = 0. The p_ai and p_ui
-    components split p_i by omega.
+    components split p_i by omega. `mmca_step` builds `run` when it is None
+    or was built for another net, params or omega object, and carries it
+    from step to step; an omega edited in place needs run=None.
     """
 
     p_us: np.ndarray
@@ -57,6 +59,7 @@ class MmcaState:
     p_ar: np.ndarray
     omega: np.ndarray  # bool mask
     step: int = 0
+    run: tuple | None = None  # the run's constants, from `_run_constants`
 
     @property
     def p_ai(self) -> np.ndarray:
@@ -95,19 +98,40 @@ class ThresholdResult:
 
 
 def _neighbor_product(adj: sparse.csr_matrix, factors: np.ndarray) -> np.ndarray:
-    """prod_j factors[j] over each node's neighbors, as exp of summed logs."""
-    zero = factors <= 0.0
+    """prod_j factors[j] over each node's neighbors, as exp of summed logs.
+
+    Factors are at most 1, so no log is +inf; a factor <= 0 has log -inf,
+    which makes its rows' sums -inf and their products exp(-inf) = +0.0.
+    """
     with np.errstate(divide="ignore"):
-        logs = np.where(zero, 0.0, np.log(np.where(zero, 1.0, factors)))
-    out = np.exp(adj @ logs)
-    if zero.any():
-        out[(adj @ zero.astype(np.float64)) > 0.0] = 0.0
-    return out
+        out = adj @ np.log(np.maximum(factors, 0.0))
+    return np.exp(out, out=out)
 
 
-def _not_informed(a_mat: sparse.csr_matrix, p_a, omega, lam: float) -> np.ndarray:
-    """r: the chance that no aware neighbour informs a node; 1 on silenced nodes."""
-    return np.where(omega, 1.0, _neighbor_product(a_mat, 1.0 - lam * p_a))
+def _live_awareness(net: MultiplexNetwork, omega: np.ndarray) -> sparse.csr_matrix:
+    """The awareness adjacency without the rows and columns of silenced nodes.
+
+    A silenced node holds p_a = +0.0, whose log(1 - lam * p_a) = +0.0 adds
+    nothing to a neighbour's sum, so dropping its column keeps every sum's
+    bits; each row keeps its column order. Its empty row gives r = exp(0) = 1.
+    """
+    layer = net.awareness_layer
+    n = layer.node_count
+    rows = np.repeat(np.arange(n), np.diff(layer.indptr))
+    live = ~(omega[rows] | omega[layer.indices])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[live], minlength=n))))
+    return sparse.csr_matrix((np.ones(indptr[-1]), layer.indices[live], indptr), shape=(n, n))
+
+
+def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -> tuple:
+    """(net, params, omega, live awareness matrix, delta, 1 - delta) for
+    `state`'s run, with delta = 1 on silenced nodes; the state's own when it
+    holds them for these objects."""
+    run = state.run
+    if run is None or run[0] is not net or run[1] is not params or run[2] is not state.omega:
+        delta = np.where(state.omega, 1.0, params.delta)
+        run = (net, params, state.omega, _live_awareness(net, state.omega), delta, 1.0 - delta)
+    return run
 
 
 def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
@@ -146,9 +170,11 @@ def init_mmca(
 def mmca_rates(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams):
     """Per-node probabilities of not being informed (r) and of escaping
     infection while aware (q_a) or unaware (q_u), from neighbor marginals.
-    r is 1 on silenced nodes."""
+    r is 1 on silenced nodes, which must hold p_as = p_ar = 0."""
+    a_live = _run_constants(state, net, params)[3]
     b_mat = net.contact_layer.adjacency()
-    r = _not_informed(net.awareness_layer.adjacency(), state.p_a, state.omega, params.lam)
+    # p_as + p_i + p_ar is p_a on every column a_live keeps.
+    r = _neighbor_product(a_live, 1.0 - params.lam * (state.p_as + state.p_i + state.p_ar))
     q_a = _neighbor_product(b_mat, 1.0 - params.beta_a * state.p_i)
     q_u = _neighbor_product(b_mat, 1.0 - params.beta_u * state.p_i)
     return r, q_a, q_u
@@ -160,19 +186,29 @@ def mmca_step(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -
     Silenced nodes forget at once (delta = 1); with r = 1 from mmca_rates
     they keep p_as = p_ar = 0.
     """
+    run = _run_constants(state, net, params)
+    if run is not state.run:
+        state = replace(state, run=run)
     r, q_a, q_u = mmca_rates(state, net, params)
-    delta, mu = np.where(state.omega, 1.0, params.delta), params.mu
+    delta, keep = run[4:]
+    mu = params.mu
     p_us, p_as, p_i, p_ur, p_ar = state.p_us, state.p_as, state.p_i, state.p_ur, state.p_ar
+    not_r, not_qa, not_qu = 1.0 - r, 1.0 - q_a, 1.0 - q_u
 
-    n_as = p_as * (1.0 - delta) * q_a + p_us * (1.0 - r) * q_a
-    n_us = p_as * delta * q_u + p_us * r * q_u
-    n_i = (
-        p_as * ((1.0 - delta) * (1.0 - q_a) + delta * (1.0 - q_u))
-        + p_us * (r * (1.0 - q_u) + (1.0 - r) * (1.0 - q_a))
-        + p_i * (1.0 - mu)
-    )
-    n_ar = p_i * (1.0 - delta) * mu + p_ar * (1.0 - delta) + p_ur * (1.0 - r)
-    n_ur = p_i * delta * mu + p_ar * delta + p_ur * r
+    # Each sum adds its terms left to right, in place to spare temporaries.
+    n_as = p_as * keep * q_a
+    n_as += p_us * not_r * q_a
+    n_us = p_as * delta * q_u
+    n_us += p_us * r * q_u
+    n_i = p_as * (keep * not_qa + delta * not_qu)
+    n_i += p_us * (r * not_qu + not_r * not_qa)
+    n_i += p_i * (1.0 - mu)
+    n_ar = p_i * keep * mu
+    n_ar += p_ar * keep
+    n_ar += p_ur * not_r
+    n_ur = p_i * delta * mu
+    n_ur += p_ar * delta
+    n_ur += p_ur * r
     return MmcaState(
         p_us=n_us,
         p_as=n_as,
@@ -181,6 +217,7 @@ def mmca_step(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -
         p_ar=n_ar,
         omega=state.omega,
         step=state.step + 1,
+        run=run,
     )
 
 
@@ -211,13 +248,12 @@ def uau_steady_state(
     init: float = 0.5,
 ) -> np.ndarray:
     """Disease-free awareness fixed point; silenced nodes stay at zero."""
-    a_mat = net.awareness_layer.adjacency()
     omega = omega_mask(net.node_count, omega_set)
-    delta = np.where(omega, 1.0, params.delta)
+    a_live = _live_awareness(net, omega)
+    keep = 1.0 - np.where(omega, 1.0, params.delta)
 
     def step(p):
-        r = _not_informed(a_mat, p, omega, params.lam)
-        return p * (1.0 - delta) + (1.0 - p) * (1.0 - r)
+        return p * keep + (1.0 - p) * (1.0 - _neighbor_product(a_live, 1.0 - params.lam * p))
 
     p = np.where(omega, 0.0, float(init))
     return _fixed_point(step, p, lambda p: (p,), tol, max_iter, "awareness fixed point")

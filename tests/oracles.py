@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from muxepi import Graph, build_multiplex, generate_ba, generate_ws
 from muxepi.dynamics import I, R, S, StateVector
 
 
@@ -85,6 +86,17 @@ def read_omega_set(path):
     """The sorted node indices of a file `write_omega_set` wrote, one per line."""
     with open(path, encoding="ascii") as fh:
         return sorted(int(line) for line in fh if line.strip())
+
+
+def isolated_net(n=120, seed=6):
+    """A BA awareness and WS contact multiplex with nodes 0-9 cut off in the
+    awareness layer and 5-14 in the contact layer."""
+    a, b = generate_ba(n, 4, seed=seed), generate_ws(n, 4, 0.1, seed=seed + 1)
+
+    def cut(g, lo, hi):
+        return Graph(n, [(i, j) for i, j in g.edges() if not (lo <= i < hi or lo <= j < hi)])
+
+    return build_multiplex(cut(a, 0, 10), cut(b, 5, 15))
 
 
 def random_graph(n, p, rng):
@@ -327,3 +339,30 @@ def reference_mmca_step(comps, omega, net, params):
         n_ai = np.where(omega, zero, n_ai)
         n_ar = np.where(omega, zero, n_ar)
     return {"p_us": n_us, "p_as": n_as, "p_ai": n_ai, "p_ur": n_ur, "p_ar": n_ar, "p_ui": n_ui}
+
+
+def reference_mmca_run(omega, net, params, tol=1e-9, max_iter=100_000):
+    """Iterate `reference_mmca_step` from the Monte Carlo initial condition
+    until no entry of the six components moves by tol or more, or for
+    max_iter steps.
+
+    Returns the six components, the number of steps taken and the last
+    max-norm change, which is below tol only if the run converged.
+    """
+    n = net.node_count
+    f = params.initial_infected_fraction
+    comps = {
+        "p_us": np.full(n, 1.0 - f),
+        "p_as": np.zeros(n),
+        "p_ai": np.where(omega, 0.0, f),
+        "p_ur": np.zeros(n),
+        "p_ar": np.zeros(n),
+        "p_ui": np.where(omega, f, 0.0),
+    }
+    for step in range(1, max_iter + 1):
+        nxt = reference_mmca_step(comps, omega, net, params)
+        change = max(float(np.max(np.abs(nxt[c] - comps[c]))) for c in comps)
+        comps = nxt
+        if change < tol:
+            break
+    return comps, step, change

@@ -17,7 +17,7 @@ from muxepi import (
     run_to_absorption,
 )
 from muxepi.dynamics import A, I, R, S, StateVector
-from oracles import _node_transition, dense_step, two_node_chain_marginals
+from oracles import _node_transition, dense_step, isolated_net, two_node_chain_marginals
 
 
 def small_net(n=200, seed=0):
@@ -270,16 +270,6 @@ def spmv_counts(net, sv):
     )
 
 
-def isolated_net(n=120, seed=6):
-    """small_net with nodes 0-9 cut off in the awareness layer and 5-14 in the contact layer."""
-    net = small_net(n, seed=seed)
-
-    def cut(g, lo, hi):
-        return Graph(n, [(i, j) for i, j in g.edges() if not (lo <= i < hi or lo <= j < hi)])
-
-    return build_multiplex(cut(net.awareness_layer, 0, 10), cut(net.contact_layer, 5, 15))
-
-
 def carry_case(name):
     """(net, params, first state) of one carried-count scenario."""
     params = default_params(initial_infected_fraction=0.05)
@@ -331,6 +321,7 @@ class TestCarriedCounts:
             assert np.array_equal(nxt.infected_nbrs, b_counts)
             assert nxt.tallies.dtype == np.int64
             assert np.array_equal(nxt.tallies / net.node_count, counts(nxt))
+            assert not (nxt.aware & nxt.omega).any()
             flips.append(np.count_nonzero(nxt.aware != sv.aware))
             sv = nxt
         if case == "all_silenced":

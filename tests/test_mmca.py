@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,7 +23,17 @@ from muxepi import (
     uau_steady_state,
 )
 from muxepi.mmca import COMPONENTS, write_node_csv, write_threshold_csv
-from oracles import dense_spectral_radius, reference_mmca_step, two_node_chain_marginals
+from muxepi.selection import OmegaSpec, select_omega
+from oracles import (
+    _reference_neighbor_product,
+    dense_spectral_radius,
+    isolated_net,
+    reference_mmca_run,
+    reference_mmca_step,
+    two_node_chain_marginals,
+)
+
+ALL_CERTAIN = {"lam": 1.0, "beta_u": 1.0, "delta": 1.0, "mu": 1.0, "gamma": 0.0}
 
 
 def default_params(**kwargs):
@@ -147,6 +159,39 @@ class TestStep:
                 assert np.array_equal(got, ref[c]), (t, c)
                 assert np.array_equal(np.signbit(got), np.signbit(ref[c])), (t, c)
 
+    @pytest.mark.parametrize("change", ["omega", "params", "net"])
+    def test_carried_run_constants_follow_a_swapped_input(self, change):
+        # A state carries its run's live matrix and delta; stepping it with
+        # another omega array, params object or net must rebuild them.
+        net = small_net(120, seed=3)
+        params = default_params(delta=0.3)
+        state = init_mmca(net, [], params)
+        for _ in range(5):
+            state = mmca_step(state, net, params)
+        omega = np.zeros(120, dtype=bool)
+        if change == "omega":
+            omega[::7] = True
+            state.p_us[omega] += state.p_as[omega]
+            state.p_ur[omega] += state.p_ar[omega]
+            state.p_as[omega] = state.p_ar[omega] = 0.0
+            state = replace(state, omega=omega)
+        elif change == "params":
+            params = default_params(delta=0.9, lam=0.8)
+        else:
+            net = small_net(120, seed=4)
+        got = mmca_step(state, net, params)
+        want = mmca_step(replace(state, run=None), net, params)
+        assert got.run[3] is not state.run[3]
+        for c in COMPONENTS:
+            assert_bit_equal(getattr(got, c), getattr(want, c), c)
+
+    def test_empty_multiplex_steps_to_empty_arrays(self):
+        empty = Graph(0, [])
+        net = build_multiplex(empty, empty)
+        state = init_mmca(net, [], default_params())
+        assert all(a.shape == (0,) for a in mmca_rates(state, net, default_params()))
+        assert mmca_step(state, net, default_params()).p_i.shape == (0,)
+
     def test_matches_exact_chain_on_two_nodes(self):
         # The independence closure is not exact on a correlated pair, but
         # must track the exact joint chain closely.
@@ -170,7 +215,114 @@ class TestStep:
             state = mmca_step(state, net, params)
 
 
+def assert_bit_equal(got, want, what):
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+SILENCED = {
+    "none": lambda n: [],
+    "every_7th": lambda n: range(0, n, 7),
+    "all": lambda n: range(n),
+}
+
+
+class TestLiveAwareness:
+    """The awareness product runs over the adjacency without silenced rows and
+    columns; it must equal the full-matrix product with r forced to 1."""
+
+    @pytest.mark.parametrize("silenced", sorted(SILENCED))
+    @pytest.mark.parametrize("certain", [False, True], ids=["positive", "zero_factors"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rates_equal_masked_full_matrix(self, silenced, certain, seed):
+        net = isolated_net()
+        n = net.node_count
+        rng = np.random.default_rng(seed)
+        omega = np.zeros(n, dtype=bool)
+        omega[list(SILENCED[silenced](n))] = True
+        p_us, p_as, p_i, p_ur, p_ar = rng.dirichlet(np.ones(5), size=n).T.copy()
+        p_as[omega] = p_ar[omega] = 0.0  # a silenced node holds no awareness
+        params = default_params()
+        if certain:
+            # Factors of exactly 0 at lambda = beta_u = 1, on silenced nodes too.
+            params = default_params(lam=1.0, beta_u=1.0, gamma=0.5)
+            sure = rng.choice(n, n // 8, replace=False)
+            p_i[sure] = 1.0
+            p_as[sure] = p_ar[sure] = 0.0
+        state = MmcaState(p_us=p_us, p_as=p_as, p_i=p_i, p_ur=p_ur, p_ar=p_ar, omega=omega)
+        r, q_a, q_u = mmca_rates(state, net, params)
+        a_mat, b_mat = net.awareness_layer.adjacency(), net.contact_layer.adjacency()
+        full_r = _reference_neighbor_product(a_mat, 1.0 - params.lam * state.p_a)
+        assert_bit_equal(r, np.where(omega, 1.0, full_r), "r")
+        assert_bit_equal(q_a, _reference_neighbor_product(b_mat, 1.0 - params.beta_a * p_i), "q_a")
+        assert_bit_equal(q_u, _reference_neighbor_product(b_mat, 1.0 - params.beta_u * p_i), "q_u")
+        if certain:
+            assert (q_u == 0.0).any()
+            assert (r == 0.0).any() == (not omega.all())
+
+    @pytest.mark.parametrize("silenced", sorted(SILENCED))
+    @pytest.mark.parametrize("lam, init", [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0)])
+    def test_one_awareness_step_equals_masked_form(self, silenced, lam, init):
+        net = isolated_net()
+        n = net.node_count
+        omega_set = list(SILENCED[silenced](n))
+        params = default_params(lam=lam, delta=0.3)
+        try:
+            got = uau_steady_state(net, params, omega_set=omega_set, max_iter=1, init=init)
+        except NonConvergenceError as exc:
+            got = exc.last_iterate
+        omega = np.zeros(n, dtype=bool)
+        omega[omega_set] = True
+        p = np.where(omega, 0.0, init)
+        full_r = _reference_neighbor_product(net.awareness_layer.adjacency(), 1.0 - lam * p)
+        r = np.where(omega, 1.0, full_r)
+        delta = np.where(omega, 1.0, params.delta)
+        assert_bit_equal(got, p * (1.0 - delta) + (1.0 - p) * (1.0 - r), "p_a")
+
+
 class TestRun:
+    @pytest.mark.parametrize("silenced", ["none", "every_7th", "degree_top"])
+    @pytest.mark.parametrize("rates", [{}, ALL_CERTAIN], ids=["default", "all_certain"])
+    def test_bit_equal_to_reference_run(self, silenced, rates):
+        # At the all_certain rates (zero factors) awareness swings back and
+        # forth each step and the run never converges: compare the iterate
+        # it gives up on.
+        net = small_net(300, seed=2)
+        omega_set = {
+            "none": [],
+            "every_7th": range(0, 300, 7),
+            "degree_top": select_omega(OmegaSpec("degree_top", count=30), net.awareness_layer),
+        }[silenced]
+        params = default_params(**rates)
+        max_iter = 200 if rates else 100_000
+        try:
+            state = mmca_run(net, omega_set, params, max_iter=max_iter)
+            residual = None
+        except NonConvergenceError as exc:
+            state, residual = exc.last_iterate, exc.residual
+        ref, steps, change = reference_mmca_run(state.omega, net, params, max_iter=max_iter)
+        assert state.step == steps
+        assert residual == (None if change < 1e-9 else change)
+        assert (residual is None) == (not rates)
+        for c in COMPONENTS:
+            assert_bit_equal(getattr(state, c), ref[c], c)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_rho_r_does_not_decrease_as_beta_u_grows_at_gamma_one(self, lam):
+        # At gamma = 1 awareness leaves every infection probability at beta_u,
+        # so a larger beta_u can only infect more. At the fixed point rho_R is
+        # 1 - rho_S. A solve stops with infected mass of about 10 * tol still
+        # on its way to R, more than neighbouring beta_u values differ in
+        # rho_R near 1, while rho_S has settled; so rho_S must not rise.
+        for seed in (0, 1):
+            net = small_net(200, seed=seed)
+            rho_s = [
+                mmca_run(net, range(0, 200, 7), default_params(lam=lam, beta_u=b, gamma=1.0))
+                .rho()["rho_s"]
+                for b in np.linspace(0.0, 1.0, 11)
+            ]
+            assert (np.diff(rho_s) <= 0.0).all(), (seed, rho_s)
+
     def test_reaches_disease_free_fixed_point(self):
         net = small_net()
         params = default_params(beta_u=0.02)  # below threshold
