@@ -133,6 +133,8 @@ def init_states(
 ) -> StateVector:
     """Seed ceil(N * initial_infected_fraction) uniform infections; rest US."""
     n = net.node_count
+    if n == 0:
+        raise InvalidArgumentError("init_states needs at least one node, got node_count=0")
     omega = omega_mask(n, omega_set)
     n_seed = int(np.ceil(n * params.initial_infected_fraction))
     seeds = rng.choice(n, size=n_seed, replace=False)
@@ -165,7 +167,7 @@ def _neighbour_counts(net: MultiplexNetwork, held: np.ndarray) -> tuple[np.ndarr
 def _power_tables(net: MultiplexNetwork, params: DynamicsParams) -> tuple:
     """(params, (1-lam)^k, [(1-beta_u)^k, (1-beta_a)^k]) for k up to the largest
     degree, which no count exceeds; entry k has the same bits at any length."""
-    k = np.arange(np.diff(net.stacked[0]).max() + 1)
+    k = np.arange(np.diff(net.stacked[0]).max(initial=0) + 1)
     escape = np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]) ** k
     return params, (1.0 - params.lam) ** k, escape
 
@@ -181,15 +183,14 @@ def mc_step(
     Only the nodes that can change draw, in a fixed order: one uniform per
     node that can learn, the heads of N forget coins, one uniform per exposed
     susceptible, per infected and per recovering node. The neighbour counts
-    and tallies are carried over, moved only by the nodes that flipped.
+    and tallies are carried over, moved by the flips that the step's events make.
     """
     n = states.node_count
     disease, aware, omega = states.disease, states.aware, states.omega
     infected_t = disease == I
-    held = np.concatenate((aware, infected_t))  # the counted nodes, in `net.stacked` order
     n_aware, n_inf = states.aware_nbrs, states.infected_nbrs
     if n_aware is None or n_inf is None:
-        n_aware, n_inf = _neighbour_counts(net, held)
+        n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected_t)))
     tallies = _tallies(states) if states.tallies is None else states.tallies
     tables = states.tables
     if tables is None or tables[0] is not params:
@@ -205,8 +206,9 @@ def mc_step(
     # The heads of N delta-coins are a Binomial(N, delta) count of uniform nodes.
     # Infected non-omega nodes stay aware until they recover; other aware nodes forget.
     heads = rng.choice(n, rng.binomial(n, params.delta), replace=False, shuffle=False)
+    forgets = heads[aware[heads] > (omega[heads] | infected_t[heads])]
     aware_mid = aware.copy()
-    aware_mid[heads[aware[heads] > (omega | infected_t)[heads]]] = False
+    aware_mid[forgets] = False
     aware_mid[informed] = True
 
     # Substep 2: infection at the post-awareness susceptibility.
@@ -225,23 +227,28 @@ def mc_step(
     disease_next = disease.copy()
     disease_next[newly_infected] = I
     disease_next[recovers] = R
+    learns = newly_infected[~(omega[newly_infected] | aware_mid[newly_infected])]
+    unlearns = post_forgets[aware_mid[post_forgets]]
     aware_next = aware_mid  # substep 2 has read it
-    aware_next[newly_infected[~omega[newly_infected]]] = True
-    aware_next[post_forgets] = False
+    aware_next[learns] = True
+    aware_next[unlearns] = False
 
-    # One signed push over the joined neighbour lists of the nodes that
-    # entered (+1) or left (-1) the aware or the infected set: it costs their
-    # degree sum, not the edge count. The aware flips come first in `flips`.
-    held_next = np.concatenate((aware_next, disease_next == I))
-    flips = (held_next != held).nonzero()[0]
-    signs = np.where(held_next[flips], 1, -1)
+    # One push over the joined neighbour lists of the nodes that entered the
+    # aware or the infected set (+1), then of those that left it (-1): it costs
+    # their degree sum, not the edge count. An event is a flip where it changes
+    # its node, so a node that forgets and is then infected is a loss and a gain.
+    gains = (informed, learns, newly_infected + n)  # the infected set sits N on in `net.stacked`
+    flips = np.concatenate((*gains, forgets, unlearns, recovers + n))
     if len(flips):
         nbr_counts = np.concatenate((n_aware, n_inf))
         nbrs, lens = _neighbours(net.stacked, flips)
-        np.add.at(nbr_counts, nbrs, np.repeat(signs, lens))
+        split = lens[: sum(map(len, gains))].sum()
+        np.add.at(nbr_counts, nbrs[:split], 1)
+        np.subtract.at(nbr_counts, nbrs[split:], 1)
         n_aware, n_inf = nbr_counts[:n], nbr_counts[n:]
     new, rec = len(newly_infected), len(recovers)
-    tallies = tallies + [-new, new - rec, rec, signs[: np.searchsorted(flips, n)].sum()]
+    aware_gain = len(informed) + len(learns) - len(forgets) - len(unlearns)
+    tallies = tallies + [-new, new - rec, rec, aware_gain]
     return StateVector(
         disease_next, aware_next, omega, states.step + 1, n_aware, n_inf, tallies, tables
     )

@@ -228,7 +228,8 @@ def mmca_run(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> MmcaState:
-    """Iterate to a fixed point (max-norm change < tol over all components)."""
+    """Iterate until no component moves by tol or more in one step. That bounds the
+    last step's change, not the distance to the fixed point, which can exceed 10x tol."""
     return _fixed_point(
         lambda s: mmca_step(s, net, params),
         init_mmca(net, omega_set, params),
@@ -247,7 +248,8 @@ def uau_steady_state(
     max_iter: int = DEFAULT_MAX_ITER,
     init: float = 0.5,
 ) -> np.ndarray:
-    """Disease-free awareness fixed point; silenced nodes stay at zero."""
+    """Disease-free awareness fixed point; silenced nodes stay at zero. As in
+    `mmca_run`, tol bounds the last step's change, not the distance to the fixed point."""
     omega = omega_mask(net.node_count, omega_set)
     a_live = _live_awareness(net, omega)
     keep = 1.0 - np.where(omega, 1.0, params.delta)

@@ -72,6 +72,14 @@ class TestInitStates:
         with pytest.raises(InvalidArgumentError):
             init_states(small_net(), [999], default_params(), np.random.default_rng(0))
 
+    def test_rejects_zero_nodes(self):
+        # Nothing to seed, and every fraction would be 0/0.
+        net = build_multiplex(Graph(0, []), Graph(0, []))
+        with pytest.raises(InvalidArgumentError, match="node_count=0"):
+            init_states(net, [], default_params(), np.random.default_rng(0))
+        with pytest.raises(InvalidArgumentError, match="node_count=0"):
+            run_to_absorption(net, [], default_params(), np.random.default_rng(0))
+
 
 def reference_step(states, net, params, rng):
     """Per-node-loop transcription of the update rules, consuming the same
@@ -215,6 +223,15 @@ class TestMcStep:
             sv = mc_step(sv, net, params, rng)
             assert sv.disease[2] == S and sv.disease[3] == S
 
+    def test_zero_node_state_steps_to_empty_state(self):
+        net = build_multiplex(Graph(0, []), Graph(0, []))
+        sv = StateVector(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=bool),
+                         np.zeros(0, dtype=bool))
+        nxt = mc_step(sv, net, default_params(), np.random.default_rng(0))
+        assert nxt.step == 1 and nxt.node_count == 0
+        assert len(nxt.aware_nbrs) == len(nxt.infected_nbrs) == 0
+        assert np.array_equal(nxt.tallies, [0, 0, 0, 0])
+
     def test_single_edge_infection_rate(self):
         # One infected neighbor, unaware target: infection per step is a
         # Bernoulli(beta_u) event. 3-sigma binomial band over 4000 trials.
@@ -330,6 +347,43 @@ class TestCarriedCounts:
             assert max(flips) > net.node_count // 2
         if case == "never_absorbs":
             assert sv.tallies[I] > 0
+
+    def test_coincident_events_in_one_step(self):
+        # At lam = beta_u = delta = mu = gamma = 1 every event that can happen
+        # does: all nodes are forget heads, every unaware node with an aware
+        # neighbour learns, every exposed node is infected, every infected
+        # node recovers and forgets.
+        #   0: infected, aware;          1: susceptible, aware, contact of 0;
+        #   2: susceptible, unaware, awareness and contact neighbour of 0;
+        #   3: infected, silenced;       4: recovered, unaware, awareness neighbour of 0 and 3;
+        #   5: susceptible, silenced, contact of 3.
+        net = build_multiplex(Graph(6, [(0, 2), (0, 4), (1, 5), (3, 4)]),
+                              Graph(6, [(0, 1), (0, 2), (3, 5)]))
+        params = default_params(lam=1.0, beta_u=1.0, delta=1.0, mu=1.0, gamma=1.0)
+        sv = StateVector(np.array([I, S, S, I, R, S], dtype=np.int8),
+                         np.array([True, True, False, False, False, False]),
+                         np.array([False, False, False, True, False, True]))
+        nxt = mc_step(sv, net, params, np.random.default_rng(0))
+        # 1 forgets and is infected: no flip. 2 learns and is infected: one
+        # gain. 3 recovers and forgets but was never aware: no flip.
+        assert np.array_equal(nxt.disease, [R, I, I, R, R, I])
+        assert np.array_equal(nxt.aware, [False, True, True, False, True, False])
+        a_counts, b_counts = spmv_counts(net, nxt)
+        assert np.array_equal(nxt.aware_nbrs, a_counts)
+        assert np.array_equal(nxt.infected_nbrs, b_counts)
+        assert np.array_equal(nxt.tallies / net.node_count, counts(nxt))
+
+    def test_step_leaves_its_input_unchanged(self):
+        net, params, sv = carry_case("lam_one_burst")
+        rng = np.random.default_rng(32)
+        sv = mc_step(sv, net, params, rng)  # carries every field from here on
+        fields = ("disease", "aware", "aware_nbrs", "infected_nbrs", "tallies")
+        for _ in range(10):
+            before = [getattr(sv, name).copy() for name in fields]
+            nxt = mc_step(sv, net, params, rng)
+            for name, old in zip(fields, before):
+                assert np.array_equal(getattr(sv, name), old), name
+            sv = nxt
 
     def test_hand_built_state_steps_like_carried(self):
         net = hub_net()
