@@ -74,7 +74,7 @@ class DynamicsParams:
 class StateVector:
     """Per-node joint state at one time step. Arrays are owned by one trajectory.
 
-    `mc_step` builds each of the last four fields when it is None and carries
+    `mc_step` builds each of the last three fields when it is None and carries
     it from step to step.
     """
 
@@ -85,7 +85,6 @@ class StateVector:
     aware_nbrs: np.ndarray | None = None  # intp, aware neighbours in the awareness layer
     infected_nbrs: np.ndarray | None = None  # intp, infected neighbours in the contact layer
     tallies: np.ndarray | None = None  # int64, the S, I, R and aware node counts
-    tables: tuple | None = None  # the run's power tables, from `_power_tables`
 
     @property
     def node_count(self) -> int:
@@ -143,7 +142,7 @@ def init_states(
     infected = disease == I
     aware = infected & ~omega
     n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected)))
-    return StateVector(disease, aware, omega, 0, n_aware, n_inf, tables=_power_tables(net, params))
+    return StateVector(disease, aware, omega, 0, n_aware, n_inf)
 
 
 def _neighbours(csr, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,14 +161,6 @@ def _neighbour_counts(net: MultiplexNetwork, held: np.ndarray) -> tuple[np.ndarr
     n = net.node_count
     nbr_counts = np.bincount(_neighbours(net.stacked, held.nonzero()[0])[0], minlength=2 * n)
     return nbr_counts[:n], nbr_counts[n:]
-
-
-def _power_tables(net: MultiplexNetwork, params: DynamicsParams) -> tuple:
-    """(params, (1-lam)^k, [(1-beta_u)^k, (1-beta_a)^k]) for k up to the largest
-    degree, which no count exceeds; entry k has the same bits at any length."""
-    k = np.arange(np.diff(net.stacked[0]).max(initial=0) + 1)
-    escape = np.array([[1.0 - params.beta_u], [1.0 - params.beta_a]]) ** k
-    return params, (1.0 - params.lam) ** k, escape
 
 
 def mc_step(
@@ -192,17 +183,14 @@ def mc_step(
     if n_aware is None or n_inf is None:
         n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected_t)))
     tallies = _tallies(states) if states.tallies is None else states.tallies
-    tables = states.tables
-    if tables is None or tables[0] is not params:
-        tables = _power_tables(net, params)
-    _, stay_unaware, escape = tables
 
     # Substep 1: awareness. Each aware neighbor informs independently with
     # probability lam, so staying unaware has probability (1-lam)^(#aware).
     # Without an aware neighbour that is 1.0, which no uniform in [0, 1)
     # reaches, so only the other nodes draw. For booleans, x > y is x and not y.
     can_learn = ((n_aware > 0) > (aware | omega)).nonzero()[0]
-    informed = can_learn[rng.random(len(can_learn)) >= stay_unaware[n_aware[can_learn]]]
+    stay_unaware = (1.0 - params.lam) ** n_aware[can_learn]
+    informed = can_learn[rng.random(len(can_learn)) >= stay_unaware]
     # The heads of N delta-coins are a Binomial(N, delta) count of uniform nodes.
     # Infected non-omega nodes stay aware until they recover; other aware nodes forget.
     heads = rng.choice(n, rng.binomial(n, params.delta), replace=False, shuffle=False)
@@ -211,11 +199,12 @@ def mc_step(
     aware_mid[forgets] = False
     aware_mid[informed] = True
 
-    # Substep 2: infection at the post-awareness susceptibility.
-    # Row 0 of the table escapes at beta_u (unaware), row 1 at beta_a (aware);
-    # the escape is 1.0 without an infected contact.
+    # Substep 2: infection at the post-awareness susceptibility, escaping each
+    # infected contact at beta_a if aware, else beta_u; the escape is 1.0
+    # without an infected contact.
     exposed = ((disease == S) & (n_inf > 0)).nonzero()[0]
-    p_escape = escape[aware_mid.view(np.uint8)[exposed], n_inf[exposed]]
+    base = np.where(aware_mid[exposed], 1.0 - params.beta_a, 1.0 - params.beta_u)
+    p_escape = base ** n_inf[exposed]
     newly_infected = exposed[rng.random(len(exposed)) >= p_escape]
 
     # Substep 3: recovery of nodes infected at time t, then same-step forgetting;
@@ -249,9 +238,7 @@ def mc_step(
     new, rec = len(newly_infected), len(recovers)
     aware_gain = len(informed) + len(learns) - len(forgets) - len(unlearns)
     tallies = tallies + [-new, new - rec, rec, aware_gain]
-    return StateVector(
-        disease_next, aware_next, omega, states.step + 1, n_aware, n_inf, tallies, tables
-    )
+    return StateVector(disease_next, aware_next, omega, states.step + 1, n_aware, n_inf, tallies)
 
 
 def _tallies(states: StateVector) -> np.ndarray:

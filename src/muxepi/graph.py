@@ -66,10 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbour indices of node i (a read-only view)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def edges(self):
         """Iterate canonical (i, j) pairs with i < j, sorted: the upper triangle."""
         rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
@@ -91,9 +87,6 @@ class Graph:
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __repr__(self):
-        return f"Graph(n={self.node_count}, edges={self.edge_count})"
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,18 @@ def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsPara
     return run
 
 
+def _check_stop(tol: float, max_iter: int) -> None:
+    """An iteration's stop rule: tol finite and > 0 (NaN and inf stop nothing
+    in earnest), and at least one iteration."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
     """Apply step from x until no entry of arrays(x) moves by tol or more."""
-    if tol <= 0.0:
-        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
+    _check_stop(tol, max_iter)
     change = np.inf
     for _ in range(max_iter):
         nxt = step(x)
@@ -289,8 +297,7 @@ def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     n = m.shape[0]
     if n == 0 or m.shape != (n, n):
         raise InvalidArgumentError(f"need a non-empty square matrix, got shape {m.shape}")
-    if tol <= 0.0 or max_iter < 1:
-        raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
+    _check_stop(tol, max_iter)
     if not sparse.issparse(m):
         vals = np.linalg.eigvals(np.asarray(m, dtype=np.float64))
         mod = np.abs(vals)

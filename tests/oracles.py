@@ -17,6 +17,11 @@ from muxepi import Graph, build_multiplex, generate_ba, generate_ws
 from muxepi.dynamics import I, R, S, StateVector
 
 
+def neighbors(g, i):
+    """Sorted neighbour indices of node i: its row of the graph's CSR (a read-only view)."""
+    return g.indices[g.indptr[i] : g.indptr[i + 1]]
+
+
 def brute_force_betweenness(g):
     """Betweenness by explicit all-pairs shortest-path counting.
 
@@ -33,7 +38,7 @@ def brute_force_betweenness(g):
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in neighbors(g, v):
                 w = int(w)
                 if dist[s, w] < 0:
                     dist[s, w] = dist[s, v] + 1
@@ -79,7 +84,7 @@ def dense_spectral_radius(matrix, rtol=1e-13, max_iter=100_000):
 
 def has_edge(g, i, j):
     """Whether j is among node i's neighbours, by a plain scan of its row."""
-    return j in g.neighbors(i).tolist()
+    return j in neighbors(g, i).tolist()
 
 
 def read_omega_set(path):

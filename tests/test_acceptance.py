@@ -8,6 +8,7 @@ faithfully and are expected to fail.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,15 @@ from muxepi import (
     run_to_absorption,
     select_omega,
 )
+from muxepi import experiments
 from muxepi.cli import main as cli_main
-from muxepi.experiments import ExperimentSpec, heatmap_experiment, omega_ratio_sweep, timeseries_experiment
+from muxepi.experiments import (
+    ExperimentSpec,
+    heatmap_experiment,
+    omega_ratio_sweep,
+    replication_multiplex,
+    timeseries_experiment,
+)
 from oracles import brute_force_betweenness, dense_spectral_radius, random_graph
 
 pytestmark = pytest.mark.acceptance
@@ -47,15 +55,17 @@ def default_params(**kwargs):
 
 
 def mmca_rho_r(spec, cells):
-    """MMCA rho_R for each (omega spec, lambda, beta_u) cell, all on one
-    multiplex built with the spec's generators; only printed next to MC."""
-    net = build_multiplex(
-        generate_ba(spec.n, spec.ba_m, seed=spec.master_seed),
-        generate_ws(spec.n, spec.ws_k, spec.ws_p, seed=spec.master_seed + 1),
-    )
+    """MMCA rho_R for each (omega spec, lambda, beta_u) cell on MC replication
+    0's multiplex, with the random set replication 0 draws (the seed is
+    consulted by the random strategy only); only printed next to MC."""
+    net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep=0)
+    random_seed = experiments._seed_int(spec.master_seed, 0, experiments._NS_OMEGA)
     return [
-        mmca_run(net, select_omega(omega, net.awareness_layer), spec.params(lam, beta))
-        .rho()["rho_r"]
+        mmca_run(
+            net,
+            select_omega(replace(omega, seed=random_seed), net.awareness_layer),
+            spec.params(lam, beta),
+        ).rho()["rho_r"]
         for omega, lam, beta in cells
     ]
 

@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,13 @@ from muxepi import (
     run_to_absorption,
 )
 from muxepi.dynamics import A, I, R, S, StateVector
-from oracles import _node_transition, dense_step, isolated_net, two_node_chain_marginals
+from oracles import (
+    _node_transition,
+    dense_step,
+    isolated_net,
+    neighbors,
+    two_node_chain_marginals,
+)
 
 
 def small_net(n=200, seed=0):
@@ -97,7 +104,7 @@ def reference_step(states, net, params, rng):
             aware_mid[i] = False
             continue
         if not aw:
-            n_aw = sum(states.aware[j] for j in net.awareness_layer.neighbors(i))
+            n_aw = sum(states.aware[j] for j in neighbors(net.awareness_layer, i))
             if u_inform[i] >= (1.0 - params.lam) ** n_aw:
                 aw = True
         elif states.disease[i] != I and u_forget[i] < params.delta:
@@ -106,7 +113,7 @@ def reference_step(states, net, params, rng):
     disease_next = states.disease.copy()
     aware_next = aware_mid.copy()
     for i in range(n):
-        n_inf = sum(states.disease[j] == I for j in net.contact_layer.neighbors(i))
+        n_inf = sum(states.disease[j] == I for j in neighbors(net.contact_layer, i))
         beta = params.beta_a if aware_mid[i] else params.beta_u
         if states.disease[i] == S and u_infect[i] >= (1.0 - beta) ** n_inf:
             disease_next[i] = I
@@ -418,29 +425,31 @@ class TestCarriedCounts:
             assert np.array_equal(nxt.disease, disease) and not nxt.aware.any()
 
     @pytest.mark.parametrize("rates", [dict(), dict(lam=1.0, beta_u=1.0, gamma=0.0)])
-    def test_power_tables_hold_base_to_the_k(self, rates):
+    def test_params_swap_mid_run_steps_like_bare_state(self, rates):
+        # A carried state stepped under new rates must step as a state that
+        # carries nothing from the old ones: no power of the old lam or beta_u
+        # may survive the swap.
         net = hub_net()
-        params = default_params(**rates)
-        sv = init_states(net, [], params, np.random.default_rng(5))
-        owner, stay_unaware, escape = sv.tables
-        assert owner is params
-        largest = max(np.diff(g.indptr).max() for g in (net.awareness_layer, net.contact_layer))
-        assert len(stay_unaware) == escape.shape[1] == largest + 1
-        # Entry k has the bits that a table built up to a largest count of k
-        # holds, and agrees with the scalar power to rounding.
-        for k in range(largest + 1):
-            for entry, base in ((stay_unaware[k], 1.0 - params.lam),
-                                (escape[0, k], 1.0 - params.beta_u),
-                                (escape[1, k], 1.0 - params.beta_a)):
-                assert entry == (base ** np.arange(k + 1))[k]
-                assert entry == pytest.approx(base ** k, rel=1e-14, abs=0.0)
-        assert stay_unaware[0] == escape[0, 0] == escape[1, 0] == 1.0
-        # Built once per run: every step carries the same tables.
+        params_a = default_params(initial_infected_fraction=0.05, **rates)
+        params_b = replace(params_a, lam=0.2, beta_u=0.7)
+        carried = init_states(net, [0, 5, 11], params_a, np.random.default_rng(5))
         rng = np.random.default_rng(6)
         for _ in range(5):
-            nxt = mc_step(sv, net, params, rng)
-            assert nxt.tables is sv.tables
-            sv = nxt
+            carried = mc_step(carried, net, params_a, rng)
+        bare = StateVector(
+            carried.disease.copy(), carried.aware.copy(), carried.omega, carried.step
+        )
+        twin = deepcopy(rng)
+        exposed = []
+        for _ in range(10):
+            exposed.append(np.count_nonzero((carried.disease == S) & (carried.infected_nbrs > 0)))
+            carried = mc_step(carried, net, params_b, rng)
+            bare = mc_step(bare, net, params_b, twin)
+            for name in ("disease", "aware", "aware_nbrs", "infected_nbrs", "tallies"):
+                assert np.array_equal(getattr(carried, name), getattr(bare, name)), name
+            assert rng.bit_generator.state == twin.bit_generator.state
+        # The swap is tested only where exposed nodes draw at the new beta_u.
+        assert max(exposed) > 0
 
 
 class TestRunToAbsorption:

@@ -17,6 +17,7 @@ from muxepi import graph
 from oracles import (
     brute_force_betweenness,
     has_edge,
+    neighbors,
     random_graph,
     reference_ba,
     reference_ws,
@@ -40,7 +41,7 @@ class TestGraph:
     def test_undirected_adjacency(self):
         g = Graph(3, [(0, 1)])
         assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
-        assert list(g.neighbors(1)) == [0]
+        assert list(neighbors(g, 1)) == [0]
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
