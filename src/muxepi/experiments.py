@@ -10,7 +10,6 @@ replication). Output files are byte-identical across re-runs and worker counts.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -167,6 +166,7 @@ def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[tuple]:
     if workers <= 1:
         reps = [_run_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_run_task, tasks, chunksize=1))
     return list(zip(*reps))

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidArgumentError
 
@@ -72,9 +70,11 @@ class Graph:
         upper = self.indices > rows
         return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency as a scipy CSR over the graph's own indptr/indices."""
+    def adjacency(self):
+        """Symmetric 0/1 adjacency as a scipy CSR over the graph's own indptr/indices,
+        built on first use and cached; scipy is loaded there, not at import."""
         if self._adjacency is None:
+            from scipy import sparse
             n = self.node_count
             ones = np.ones(len(self.indices))
             self._adjacency = sparse.csr_matrix((ones, self.indices, self.indptr), shape=(n, n))
@@ -244,6 +244,7 @@ def betweenness(g: Graph, exact: bool = False):
     """
     n = g.node_count
     if exact:
+        from fractions import Fraction
         ptr, idx = g.indptr.tolist(), g.indices.tolist()
         nbrs = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
         bc = [Fraction(0)] * n

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import DynamicsParams, omega_mask
 from .errors import InvalidArgumentError, NonConvergenceError
@@ -97,7 +96,7 @@ class ThresholdResult:
     p_a: np.ndarray
 
 
-def _neighbor_product(adj: sparse.csr_matrix, factors: np.ndarray) -> np.ndarray:
+def _neighbor_product(adj, factors: np.ndarray) -> np.ndarray:
     """prod_j factors[j] over each node's neighbors, as exp of summed logs.
 
     Factors are at most 1, so no log is +inf; a factor <= 0 has log -inf,
@@ -108,13 +107,14 @@ def _neighbor_product(adj: sparse.csr_matrix, factors: np.ndarray) -> np.ndarray
     return np.exp(out, out=out)
 
 
-def _live_awareness(net: MultiplexNetwork, omega: np.ndarray) -> sparse.csr_matrix:
+def _live_awareness(net: MultiplexNetwork, omega: np.ndarray):
     """The awareness adjacency without the rows and columns of silenced nodes.
 
     A silenced node holds p_a = +0.0, whose log(1 - lam * p_a) = +0.0 adds
     nothing to a neighbour's sum, so dropping its column keeps every sum's
     bits; each row keeps its column order. Its empty row gives r = exp(0) = 1.
     """
+    from scipy import sparse
     layer = net.awareness_layer
     n = layer.node_count
     rows = np.repeat(np.arange(n), np.diff(layer.indptr))
@@ -135,10 +135,11 @@ def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsPara
 
 
 def _check_stop(tol: float, max_iter: int) -> None:
-    """An iteration's stop rule: tol finite and > 0 (NaN and inf stop nothing
-    in earnest), and at least one iteration."""
-    if not 0.0 < tol < np.inf:
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    """An iteration's stop rule: 0 < tol < 1, and at least one iteration. A
+    probability moves by at most 1 a step, so tol >= 1 stops every fixed point
+    after one iteration, and Lanczos would accept any Ritz value; NaN stops nothing."""
+    if not 0.0 < tol < 1.0:
+        raise InvalidArgumentError(f"tol must be in (0, 1), got {tol}")
     if max_iter < 1:
         raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -269,11 +270,12 @@ def uau_steady_state(
     return _fixed_point(step, p, lambda p: (p,), tol, max_iter, "awareness fixed point")
 
 
-def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float) -> sparse.csr_matrix:
+def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float):
     """Row i of the contact adjacency scaled by 1 - (1-gamma) * p_a[i].
 
     Stored sparse; the zero pattern is exactly the contact adjacency.
     """
+    from scipy import sparse
     p_a = np.asarray(p_a, dtype=np.float64)
     if np.any((p_a < 0.0) | (p_a > 1.0)):
         raise InvalidArgumentError("p_a entries must lie in [0,1]")
@@ -294,6 +296,7 @@ def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     eigenvalue (tol and max_iter unused); the one of largest modulus, the
     largest real part among ties, must be real.
     """
+    from scipy import sparse
     n = m.shape[0]
     if n == 0 or m.shape != (n, n):
         raise InvalidArgumentError(f"need a non-empty square matrix, got shape {m.shape}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,12 +143,15 @@ class TestMainErrors:
             (["sweep", "--set", "fractions=", "--set", "replications=1"], "fractions is empty"),
             (["threshold", "--set", "tol=nan"], "tol"),
             (["mmca", "--set", "tol=inf"], "tol"),
+            (["threshold", "--set", "tol=1e300"], "tol"),
+            (["mmca", "--set", "tol=1"], "tol"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
              "awareness_edges_alone", "contact_edges_alone", "repeated_strategy",
              "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications",
-             "empty_strategies", "empty_fractions", "nan_tol", "mmca_inf_tol"],
+             "empty_strategies", "empty_fractions", "nan_tol", "mmca_inf_tol", "huge_tol",
+             "mmca_unit_tol"],
     )
     def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
@@ -308,3 +314,67 @@ class TestExperimentsSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["non_absorbed_runs"] == 0
         assert "sweep.csv" in manifest["outputs"]
+
+
+# Prints, as JSON, the scipy and process-pool modules loaded after
+# `import muxepi, muxepi.cli` and after each `main` call given in argv[1].
+_MODULE_PROBE = """
+import json, sys
+import muxepi, muxepi.cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process")
+
+loaded = [heavy()]
+for argv in json.loads(sys.argv[1]):
+    assert muxepi.cli.main(argv) == 0, argv
+    loaded.append(heavy())
+print(json.dumps(loaded))
+"""
+
+
+class TestModulesLoaded:
+    """The Monte Carlo subcommands run without scipy or a process pool; only
+    the sparse linear algebra (adjacency, MMCA, threshold) loads scipy.sparse."""
+
+    def probe(self, runs, tmp_path):
+        argvs = [
+            run + ["--set", "n=60", "--jobs", "1", "--out", str(tmp_path / str(i))]
+            for i, run in enumerate(runs)
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"),
+            os.environ.get("PYTHONPATH"),
+        ])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULE_PROBE, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_monte_carlo_subcommands_load_no_scipy(self, tmp_path):
+        runs = [
+            ["generate"],
+            ["heatmap", "--set", "lambdas=0.5", "--set", "betas=0.2", "--set", "replications=1"],
+            ["timeseries", "--set", "betas=0.2", "--set", "replications=1"],
+            ["sweep", "--set", "strategies=degree_top,random", "--set", "fractions=0.1",
+             "--set", "replications=1"],
+        ]
+        assert self.probe(runs, tmp_path) == [[]] * (len(runs) + 1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            ["threshold"],
+            ["mmca"],
+            ["sweep", "--set", "strategies=betweenness_top", "--set", "fractions=0.1",
+             "--set", "replications=1"],
+        ],
+        ids=["threshold", "mmca", "sweep_betweenness"],
+    )
+    def test_sparse_subcommands_load_scipy_sparse(self, run, tmp_path):
+        before, after = self.probe([run], tmp_path)
+        assert before == []
+        assert "scipy.sparse" in after
+        assert "concurrent.futures.process" not in after

@@ -17,7 +17,7 @@ from muxepi import (
     mc_step,
     run_to_absorption,
 )
-from muxepi.dynamics import A, I, R, S, StateVector
+from muxepi.dynamics import A, I, R, S, StateVector, omega_mask
 from oracles import (
     _node_transition,
     dense_step,
@@ -78,6 +78,24 @@ class TestInitStates:
     def test_rejects_out_of_range_omega(self):
         with pytest.raises(InvalidArgumentError):
             init_states(small_net(), [999], default_params(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("omega_set", [[False, False, True, False, True], [1.7, 3.2]],
+                             ids=["bool_mask", "floats"])
+    def test_omega_mask_rejects_non_integer_entries(self, omega_set):
+        # Cast to int64, a bool mask would silence nodes 0 and 1, and floats truncate.
+        with pytest.raises(InvalidArgumentError, match="omega_set"):
+            omega_mask(5, omega_set)
+        with pytest.raises(InvalidArgumentError, match="omega_set"):
+            init_states(small_net(), omega_set, default_params(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "omega_set, silenced",
+        [([], []), ({4, 2}, [2, 4]), (range(1, 3), [1, 2]),
+         (np.array([0, 3], dtype=np.int64), [0, 3])],
+        ids=["empty_list", "set", "range", "int64_array"],
+    )
+    def test_omega_mask_accepts_integer_indices(self, omega_set, silenced):
+        assert np.flatnonzero(omega_mask(5, omega_set)).tolist() == silenced
 
     def test_rejects_zero_nodes(self):
         # Nothing to seed, and every fraction would be 0/0.

@@ -154,7 +154,8 @@ class TestHeatmap:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _run_grid imports the pool class only when it uses one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         spec = small_spec(n=60, betas=(0.3, 0.6), replications=3)
         pooled = heatmap_experiment(spec, jobs=32)
         assert sizes == [3]

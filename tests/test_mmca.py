@@ -355,6 +355,16 @@ class TestRun:
         state = mmca_run(net, [], default_params(beta_u=0.5))
         assert state.rho()["rho_r"] > 0.9
 
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100),
+                                               (1.0, 100), (1e300, 100)])
+    def test_fixed_points_reject_unreachable_stop(self, tol, max_iter):
+        # tol >= 1 would stop after one iteration: no probability moves by 1.
+        net = small_net(60, seed=5)
+        with pytest.raises(InvalidArgumentError, match="tol|max_iter"):
+            mmca_run(net, [], default_params(), tol=tol, max_iter=max_iter)
+        with pytest.raises(InvalidArgumentError, match="tol|max_iter"):
+            uau_steady_state(net, default_params(), tol=tol, max_iter=max_iter)
+
     def test_nonconvergence_raises(self):
         net = small_net(60, seed=5)
         with pytest.raises(NonConvergenceError) as exc:
@@ -458,7 +468,8 @@ class TestLeadingEigenvalue:
         with pytest.raises(InvalidArgumentError, match="symmetric"):
             leading_eigenvalue(sparse.csr_matrix(np.triu(np.ones((4, 4)))))
 
-    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100)])
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100),
+                                               (1.0, 100), (1e300, 100)])
     def test_rejects_unreachable_stop(self, tol, max_iter):
         with pytest.raises(InvalidArgumentError):
             leading_eigenvalue(generate_ws(40, 4, 0.1, seed=1).adjacency(), tol, max_iter)
