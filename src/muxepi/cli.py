@@ -24,12 +24,13 @@ from .experiments import (
     heatmap_experiment,
     omega_ratio_sweep,
     replication_multiplex,
+    replication_omega,
     timeseries_experiment,
 )
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import build_multiplex, generate_ba, read_edge_list, write_edge_list  # noqa: F401
 from .mmca import COMPONENTS, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv
-from .selection import STRATEGIES, OmegaSpec, select_omega, write_omega_set
+from .selection import STRATEGIES, OmegaSpec, write_omega_set
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 
@@ -112,8 +113,9 @@ def _read_config_file(path: str) -> dict:
     sections: dict = {"common": {}}
     current = "common"
     try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -209,7 +211,7 @@ def _experiment_spec(config: RunConfig, lambdas, betas, default_count=20) -> Exp
     fraction = config.values.get("omega_fraction")
     if count is None and fraction is None:
         count = default_count
-    omega = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction, seed=config.seed)
+    omega = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction)
     return ExperimentSpec(
         n=config.get("n"),
         ba_m=config.get("ba_m"),
@@ -259,11 +261,12 @@ def _generate(config: RunConfig, out) -> dict:
 
 
 def _mmca_inputs(config: RunConfig):
-    """The multiplex, dynamics parameters and silenced set of threshold and mmca."""
+    """The multiplex, parameters and replication 0's silenced set of threshold and mmca."""
     net = _networks(config)
     lam, beta_u = config.get("lambda"), config.get("beta_u")
     spec = _experiment_spec(config, (lam,), (beta_u,), default_count=0)
-    return net, spec.params(lam, beta_u), select_omega(spec.omega, net.awareness_layer)
+    omega_set = replication_omega(spec.omega, net.awareness_layer, config.seed)
+    return net, spec.params(lam, beta_u), omega_set
 
 
 def _threshold(config: RunConfig, out) -> dict:

@@ -142,10 +142,7 @@ def init_states(
     seeds = rng.choice(n, size=n_seed, replace=False)
     disease = np.full(n, S, dtype=np.int8)
     disease[seeds] = I
-    infected = disease == I
-    aware = infected & ~omega
-    n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected)))
-    return StateVector(disease, aware, omega, 0, n_aware, n_inf)
+    return StateVector(disease, (disease == I) & ~omega, omega)
 
 
 def _neighbours(csr, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,14 +153,6 @@ def _neighbours(csr, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Entry j of the joined rows lies at its row's end, minus the joined end, plus j.
     offset = np.repeat(hi - lens.cumsum(), lens)
     return indices[offset + np.arange(len(offset))], lens
-
-
-def _neighbour_counts(net: MultiplexNetwork, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aware neighbours in the awareness layer and infected neighbours in the
-    contact layer, from `held`: the aware then the infected mask, stacked."""
-    n = net.node_count
-    nbr_counts = np.bincount(_neighbours(net.stacked, held.nonzero()[0])[0], minlength=2 * n)
-    return nbr_counts[:n], nbr_counts[n:]
 
 
 def mc_step(
@@ -183,8 +172,10 @@ def mc_step(
     disease, aware, omega = states.disease, states.aware, states.omega
     infected_t = disease == I
     n_aware, n_inf = states.aware_nbrs, states.infected_nbrs
-    if n_aware is None or n_inf is None:
-        n_aware, n_inf = _neighbour_counts(net, np.concatenate((aware, infected_t)))
+    if n_aware is None or n_inf is None:  # a state from `init_states`, or built by hand
+        held = np.concatenate((aware, infected_t)).nonzero()[0]
+        nbr_counts = np.bincount(_neighbours(net.stacked, held)[0], minlength=2 * n)
+        n_aware, n_inf = nbr_counts[:n], nbr_counts[n:]
     tallies = _tallies(states) if states.tallies is None else states.tallies
 
     # Substep 1: awareness. Each aware neighbor informs independently with

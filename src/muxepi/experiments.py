@@ -10,7 +10,7 @@ replication). Output files are byte-identical across re-runs and worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
 from .errors import InvalidArgumentError
-from .graph import MultiplexNetwork, build_multiplex, generate_ba, generate_ws
+from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, rankings, select_omega
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "average_replications",
     "plateau_step",
     "replication_multiplex",
+    "replication_omega",
 ]
 
 # Spawn-key namespaces for seed derivation.
@@ -53,7 +54,7 @@ class ExperimentSpec:
     mu: float = 0.06
     gamma: float = 0.5
     initial_infected_fraction: float = 0.001
-    omega: OmegaSpec = OmegaSpec(strategy="random", count=20, seed=0)
+    omega: OmegaSpec = OmegaSpec(strategy="random", count=20)
     replications: int = 10
     master_seed: int = 0
     max_steps: int = 100_000
@@ -98,16 +99,11 @@ def _seed_rng(master_seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def _seed_int(master_seed: int, *key) -> int:
-    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
-
-
 class _Outcome(NamedTuple):
     """The part of a trajectory that heatmap and sweep read."""
 
     final_rho_r: float
     absorbed: bool
-    absorption_step: int | None
 
 
 def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexNetwork:
@@ -122,6 +118,13 @@ def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexN
     )
 
 
+def replication_omega(omega: OmegaSpec, awareness: Graph, master_seed, rep=0) -> np.ndarray:
+    """Replication `rep`'s silenced set: a random one is drawn from the spawn key
+    (rep, 2), so `threshold` and `mmca` silence the set of heatmap replication 0."""
+    key = np.random.SeedSequence(master_seed, spawn_key=(rep, _NS_OMEGA))
+    return select_omega(omega, awareness, seed=int(key.generate_state(1)[0]))
+
+
 def _run_task(task) -> list[Trajectory | _Outcome]:
     """Build one replication's multiplex and random silenced set, then run each cell on them.
 
@@ -131,7 +134,6 @@ def _run_task(task) -> list[Trajectory | _Outcome]:
     """
     spec, kind, rep, cells = task
     net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep)
-    random_seed = _seed_int(spec.master_seed, rep, _NS_OMEGA)
     # Rank once per replication, for the strategies with a cell that silences anyone.
     ranked = {o.strategy for o, _, _ in cells if o.strategy != "random" and o.resolved_size(spec.n)}
     orders = rankings(sorted(ranked), net.awareness_layer)
@@ -141,7 +143,7 @@ def _run_task(task) -> list[Trajectory | _Outcome]:
         if omega.strategy in orders:
             silenced = np.sort(orders[omega.strategy][: omega.resolved_size(spec.n)])
         else:  # random, or a ranked strategy that silences nobody
-            silenced = select_omega(replace(omega, seed=random_seed), net.awareness_layer)
+            silenced = replication_omega(omega, net.awareness_layer, spec.master_seed, rep)
         traj = run_to_absorption(
             net,
             silenced,
@@ -149,8 +151,7 @@ def _run_task(task) -> list[Trajectory | _Outcome]:
             _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
             tail_window=spec.tail_window if curves else 0,
         )
-        outcome = _Outcome(traj.final_rho_r, traj.absorbed, traj.absorption_step)
-        results.append(traj if curves else outcome)
+        results.append(traj if curves else _Outcome(traj.final_rho_r, traj.absorbed))
     return results
 
 
@@ -257,8 +258,6 @@ def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
 @dataclass
 class TimeseriesResult:
     spec: ExperimentSpec
-    lam: float
-    betas: tuple
     mean_rho_r: dict  # beta -> np.ndarray over steps
     mean_rho_a: dict
     final_rho_r: dict  # beta -> per-replication finals
@@ -269,7 +268,7 @@ class TimeseriesResult:
     def write_csv(self, path) -> None:
         rows = (
             f"{float(beta)!r},{t},{float(rr)!r},{float(ra)!r}"
-            for beta in self.betas
+            for beta in self.spec.betas
             for t, (rr, ra) in enumerate(zip(self.mean_rho_r[beta], self.mean_rho_a[beta]))
         )
         _write_csv(path, self.spec, "beta_u,step,rho_R,rho_A", rows)
@@ -288,8 +287,6 @@ def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResu
         plateaus[beta] = [plateau_step(t.steps[:, R]) for t in trajs]
     return TimeseriesResult(
         spec=spec,
-        lam=lam,
-        betas=betas,
         mean_rho_r=mean_rr,
         mean_rho_a=mean_ra,
         final_rho_r=finals,
@@ -309,6 +306,6 @@ def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1
     _check_axis("fractions", fractions)
     lam, beta = spec.lambdas[0], spec.betas[0]
     keys = [(strat, frac) for strat in strategies for frac in fractions]
-    cells = [(OmegaSpec(strategy=s, fraction=f, seed=spec.omega.seed), lam, beta) for s, f in keys]
+    cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s, f in keys]
     columns = "strategy,fraction,mean_rho_r,std_rho_r"
     return _grid_result(spec, _KIND_SWEEP, columns, strategies, fractions, cells, jobs)

@@ -42,6 +42,8 @@ class Graph:
             raise InvalidArgumentError(f"node_count must be >= 0, got {node_count}")
         n = self.node_count = int(node_count)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise InvalidArgumentError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
         i, j = pairs.reshape(-1, 2).T
         bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
         if bad.any():
@@ -324,6 +326,13 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def read_edge_list(path) -> Graph:
+    try:
+        return _read_edge_text(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not ASCII text") from exc
+
+
+def _read_edge_text(path) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# nodes="):

@@ -33,14 +33,12 @@ __all__ = [
 class OmegaSpec:
     """How to pick the silenced node set.
 
-    Exactly one of count (absolute) or fraction (of N) must be given; seed is
-    only consulted by the random strategy.
+    Exactly one of count (absolute) or fraction (of N) must be given.
     """
 
     strategy: str
     count: int | None = None
     fraction: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -82,14 +80,14 @@ def rankings(strategies, awareness: Graph) -> dict:
     return orders
 
 
-def select_omega(spec: OmegaSpec, awareness: Graph) -> np.ndarray:
-    """Return the selected node indices as a sorted int64 array."""
+def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
+    """The selected node indices as a sorted int64 array; only `random` reads `seed`."""
     n = awareness.node_count
     k = spec.resolved_size(n)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if spec.strategy == "random":
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(seed)
         return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
     return np.sort(rankings([spec.strategy], awareness)[spec.strategy][:k]).astype(np.int64)
 

@@ -8,7 +8,6 @@ faithfully and are expected to fail.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,13 +28,13 @@ from muxepi import (
     run_to_absorption,
     select_omega,
 )
-from muxepi import experiments
 from muxepi.cli import main as cli_main
 from muxepi.experiments import (
     ExperimentSpec,
     heatmap_experiment,
     omega_ratio_sweep,
     replication_multiplex,
+    replication_omega,
     timeseries_experiment,
 )
 from oracles import brute_force_betweenness, dense_spectral_radius, random_graph
@@ -56,14 +55,13 @@ def default_params(**kwargs):
 
 def mmca_rho_r(spec, cells):
     """MMCA rho_R for each (omega spec, lambda, beta_u) cell on MC replication
-    0's multiplex, with the random set replication 0 draws (the seed is
-    consulted by the random strategy only); only printed next to MC."""
+    0's multiplex, with the silenced set replication 0 runs on; only printed
+    next to MC."""
     net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep=0)
-    random_seed = experiments._seed_int(spec.master_seed, 0, experiments._NS_OMEGA)
     return [
         mmca_run(
             net,
-            select_omega(replace(omega, seed=random_seed), net.awareness_layer),
+            replication_omega(omega, net.awareness_layer, spec.master_seed, rep=0),
             spec.params(lam, beta),
         ).rho()["rho_r"]
         for omega, lam, beta in cells
@@ -126,8 +124,8 @@ def test_criterion_5_mmca_mc_agreement():
     started = time.monotonic()
     n = 1000
     net = build_multiplex(generate_ba(n, 4, seed=5), generate_ws(n, 4, 0.1, seed=6))
-    omega_set = select_omega(OmegaSpec(strategy="random", count=2, seed=0),
-                             net.awareness_layer)
+    omega_set = select_omega(OmegaSpec(strategy="random", count=2),
+                             net.awareness_layer, seed=0)
     # Grid frozen away from the threshold (beta_c ~ 0.026 here, so every
     # beta is outside the +/-20% exclusion band).
     worst = 0.0
@@ -153,7 +151,7 @@ def test_criterion_6_onset_and_suppression():
         n=2000,
         lambdas=(0.1, 0.5, 0.9),
         betas=(0.05, 0.3, 0.9),
-        omega=OmegaSpec(strategy="random", count=20, seed=0),
+        omega=OmegaSpec(strategy="random", count=20),
         replications=10,
         master_seed=0,
     )
@@ -237,7 +235,7 @@ def test_criterion_8_silenced_fraction_sweep():
         lambdas=(0.3,),
         betas=(0.2,),
         gamma=0.4,  # beta_a = 0.08
-        omega=OmegaSpec(strategy="random", count=20, seed=0),
+        omega=OmegaSpec(strategy="random", count=20),
         replications=10,
         master_seed=0,
     )

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from muxepi import ConfigError, read_edge_list
-from muxepi.cli import main, parse_config
+from muxepi.cli import _KEYS, main, parse_config
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -32,6 +34,14 @@ class TestParseConfig:
         assert config.get("n") == 10000
         assert config.get("ws_p") == 0.1
         assert config.seed == 0
+
+    def test_readme_key_table_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
+        first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
+        names = re.findall(r"`(\w+)`", "".join(first_cells))
+        assert len(_KEYS) == 27
+        assert sorted(names) == sorted(_KEYS)
 
     def test_rate_out_of_range(self, tmp_path):
         path = write_config(tmp_path, "beta_u = 1.5\n")
@@ -145,15 +155,28 @@ class TestMainErrors:
             (["mmca", "--set", "tol=inf"], "tol"),
             (["threshold", "--set", "tol=1e300"], "tol"),
             (["mmca", "--set", "tol=1"], "tol"),
+            (["threshold", "--config", "latin1.cfg"], "latin1.cfg"),
+            (["threshold", "--set", "awareness_edges=header.edges",
+              "--set", "contact_edges=ring.edges"], "header.edges: not ASCII"),
+            (["threshold", "--set", "awareness_edges=ring.edges",
+              "--set", "contact_edges=body.edges"], "body.edges: not ASCII"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
              "awareness_edges_alone", "contact_edges_alone", "repeated_strategy",
              "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications",
              "empty_strategies", "empty_fractions", "nan_tol", "mmca_inf_tol", "huge_tol",
-             "mmca_unit_tol"],
+             "mmca_unit_tol", "config_not_utf8", "edge_header_not_ascii", "edge_body_not_ascii"],
     )
-    def test_input_error_raised_during_run_exits_2(self, argv, message, tmp_path, capsys):
+    def test_input_error_raised_during_run_exits_2(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nn = 60\n")
+        (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "header.edges").write_bytes("# nodes=3 \u00e9\n0 1\n".encode())
+        # Past the first 8 KB chunk, so the header decodes and the body does not.
+        (tmp_path / "body.edges").write_bytes(b"# nodes=3\n" + b"0 1\n" * 3000 + b"1 2 # \xff\n")
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
         assert rc == 2
         assert message in capsys.readouterr().err

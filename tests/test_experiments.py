@@ -15,7 +15,7 @@ from muxepi import (
 )
 from muxepi import dynamics, experiments, selection
 from muxepi.cli import main
-from muxepi.dynamics import mc_step
+from muxepi.dynamics import I, mc_step
 from muxepi.experiments import plateau_step
 from muxepi.selection import select_omega
 
@@ -29,7 +29,7 @@ def small_spec(**kwargs):
         lambdas=(0.5,),
         betas=(0.3,),
         initial_infected_fraction=0.01,
-        omega=OmegaSpec(strategy="random", count=4, seed=0),
+        omega=OmegaSpec(strategy="random", count=4),
         replications=3,
         master_seed=7,
     )
@@ -214,8 +214,8 @@ class TestTailSkip:
         calls = []
 
         def counted(*args):
-            calls.append(1)
-            return mc_step(*args)
+            calls.append(mc_step(*args))
+            return calls[-1]
 
         monkeypatch.setattr(dynamics, "mc_step", counted)
         return calls
@@ -238,8 +238,9 @@ class TestTailSkip:
     def test_heatmap_and_sweep_stop_at_absorption(self, step_calls, kind):
         spec = small_spec()
         [out] = experiments._run_task((spec, kind, 0, [(spec.omega, 0.5, 0.3)]))
-        assert out.absorbed and out.absorption_step > 0
-        assert len(step_calls) == out.absorption_step
+        infected = [sv.tallies[I] for sv in step_calls]
+        assert out.absorbed and len(step_calls) > 0
+        assert infected[-1] == 0 and all(infected[:-1])  # the last step is the absorbing one
 
     def test_timeseries_keeps_the_tail(self, step_calls):
         spec = small_spec(tail_window=37)
@@ -297,6 +298,30 @@ class TestSharedNetworks:
         assert net.contact_layer == read_edge_list(tmp_path / "contact.edges")
         assert other.awareness_layer != net.awareness_layer
 
+    @pytest.mark.parametrize("subcommand", ["threshold", "mmca"])
+    def test_mmca_inputs_silence_replication_zeros_random_set(self, runs, subcommand, tmp_path):
+        heatmap_experiment(small_spec(replications=1))
+        [(_, omega_set)] = runs
+        argv = [subcommand, "--seed", "7", "--set", "n=200", "--set", "omega_count=4"]
+        assert main(argv + ["--set", "omega_strategy=random", "--out", str(tmp_path)]) == 0
+        written = [int(line) for line in (tmp_path / "omega.txt").read_text().split()]
+        assert written == omega_set.tolist()
+
+
+class TestHeader:
+    def test_omega_has_no_seed(self, tmp_path):
+        spec = small_spec(n=60, replications=1)
+        results = (
+            heatmap_experiment(spec),
+            timeseries_experiment(spec),
+            omega_ratio_sweep(spec, ["random"], [0.1]),
+        )
+        for res in results:
+            p = tmp_path / "out.csv"
+            res.write_csv(p)
+            header = json.loads(p.read_text().splitlines()[0].split("spec=", 1)[1])
+            assert header["omega"] == {"count": 4, "fraction": None, "strategy": "random"}
+
 
 class TestTimeseries:
     def test_curves_and_summaries(self):
@@ -324,7 +349,7 @@ class TestTimeseries:
     def test_header_grid_is_the_rows_grid(self, tmp_path):
         spec = small_spec(lambdas=(0.9,), betas=(0.2, 0.6), replications=1)
         res = timeseries_experiment(spec)
-        assert res.lam == 0.9
+        assert res.spec.lambdas[0] == 0.9
         p = tmp_path / "ts.csv"
         res.write_csv(p)
         lines = p.read_text().splitlines()

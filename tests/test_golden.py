@@ -46,20 +46,20 @@ CASES = {
     "heatmap": (
         ["heatmap"] + EXPERIMENT + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
         {
-            "heatmap.csv": "158fe27ba28d5acf44a512c68e3d6cf5ad5100deb2136e8fadc9f148739f4815",
+            "heatmap.csv": "2726ff023f6fe2a9fb6ca6432cdb964888c83fcc8b3dd6ea60e83dedfb2209ae",
         },
     ),
     "timeseries": (
         ["timeseries"] + EXPERIMENT + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
         {
-            "timeseries.csv": "4c126009d5e74ad4d19849f40be1d0a115111c717b7fbffa4397d1a8610fdbfb",
+            "timeseries.csv": "9e62fba2bbe917d27058176ad0889912efef7b11b47f799767cb3754fd270a34",
         },
     ),
     "sweep": (
         ["sweep"] + EXPERIMENT
         + ["--set", "strategies=betweenness_top,clustering_top,random", "--set", "fractions=0.1"],
         {
-            "sweep.csv": "2492971483492032981f6baf26e358993518f6a1f7761187abe8da2f98b51ddd",
+            "sweep.csv": "490a567a663ce7a6dbb12928e183384be25ec2c006068126dc2b2ee248ebe0ef",
         },
     ),
 }

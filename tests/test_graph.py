@@ -53,6 +53,19 @@ class TestGraph:
         with pytest.raises(InvalidArgumentError, match=r"self-loop \(2,2\)"):
             Graph(3, np.array([[0, 1], [2, 2], [1, 5]]))
 
+    @pytest.mark.parametrize(
+        "edges, shape",
+        [([(0, 1, 2, 3)], r"\(1, 4\)"), ([0, 1, 2, 3], r"\(4,\)"), ([(0, 1, 2)], r"\(1, 3\)")],
+        ids=["row_of_four", "flat", "row_of_three"],
+    )
+    def test_rejects_edge_rows_that_are_not_pairs(self, edges, shape):
+        with pytest.raises(InvalidArgumentError, match=f"pairs, got shape {shape}"):
+            Graph(4, edges)
+
+    def test_empty_edges_give_an_edge_free_graph(self):
+        for edges in ([], (), np.empty(0), np.empty((0, 2)), np.empty((0, 3))):
+            assert Graph(3, edges).edge_count == 0
+
     def test_edge_array_equals_edge_pairs(self):
         assert Graph(4, np.array([[2, 0], [0, 2], [3, 1]])) == Graph(4, [(0, 2), (1, 3)])
 
