@@ -2,8 +2,8 @@
 
 One subcommand per run: generate, mmca, threshold, heatmap, timeseries, sweep.
 Parameters come from a flat key-value config file with optional per-subcommand
-sections; command-line --set flags override file values; all randomness flows
-from one master seed.
+sections; --set overrides the file and flags override --set; all randomness
+flows from one master seed.
 """
 
 from __future__ import annotations
@@ -29,44 +29,49 @@ from .experiments import (
 )
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import build_multiplex, generate_ba, read_edge_list, write_edge_list  # noqa: F401
-from .mmca import COMPONENTS, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv
+from .mmca import (
+    COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv)
 from .selection import STRATEGIES, OmegaSpec, write_omega_set
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
+_SPEC = ExperimentSpec()  # the model's defaults, each written once, in experiments.py
 
 # key -> (kind, default). A kind is a tag, or the tuple of allowed strings.
-# A None default leaves the key unset unless given: seed and out have their own
-# precedence, and the subcommand that reads the key owns its fallback
+# A None default leaves the key unset unless given: seed and out fall back in
+# parse_config, and the subcommand that reads the key owns its fallback
 # (lambdas, betas, omega_count).
 _KEYS = {
     "subcommand": (SUBCOMMANDS, None),
     "seed": ("int", None),
     "out": ("str", None),
-    "n": ("int", 10000),
-    "ba_m": ("int", 4),
-    "ws_k": ("int", 4),
-    "ws_p": ("rate", 0.1),
+    "n": ("int", _SPEC.n),
+    "ba_m": ("int", _SPEC.ba_m),
+    "ws_k": ("int", _SPEC.ws_k),
+    "ws_p": ("rate", _SPEC.ws_p),
     "awareness_edges": ("str", None),
     "contact_edges": ("str", None),
-    "lambda": ("rate", 0.5),
-    "beta_u": ("rate", 0.2),
+    "lambda": ("rate", _SPEC.lambdas[0]),
+    "beta_u": ("rate", _SPEC.betas[0]),
     "beta_a": ("rate", None),
-    "gamma": ("rate", 0.5),
-    "delta": ("rate", 0.04),
-    "mu": ("rate", 0.06),
-    "initial_infected_fraction": ("float", 0.001),
-    "max_steps": ("int", 100_000),
-    "tol": ("float", 1e-9),
-    "omega_strategy": (STRATEGIES, "random"),
+    "gamma": ("rate", _SPEC.gamma),
+    "delta": ("rate", _SPEC.delta),
+    "mu": ("rate", _SPEC.mu),
+    "initial_infected_fraction": ("float", _SPEC.initial_infected_fraction),
+    "max_steps": ("int", _SPEC.max_steps),
+    "tol": ("float", DEFAULT_TOL),
+    "omega_strategy": (STRATEGIES, _SPEC.omega.strategy),
     "omega_count": ("int", None),
     "omega_fraction": ("float", None),
     "lambdas": ("rates", None),
     "betas": ("rates", None),
     "strategies": ("names", ("degree_top", "random", "degree_bottom")),
     "fractions": ("rates", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-    "replications": ("int", 10),
-    "tail_window": ("int", 100),
+    "replications": ("int", _SPEC.replications),
+    "tail_window": ("int", _SPEC.tail_window),
 }
+# The keys that name ExperimentSpec fields; the first four build the multiplex.
+_SPEC_KEYS = ("n", "ba_m", "ws_k", "ws_p", "delta", "mu", "initial_infected_fraction",
+              "replications", "max_steps", "tail_window")
 
 
 @dataclass
@@ -143,40 +148,32 @@ def parse_config(
     seed: int | None = None,
     jobs: int | None = None,
 ) -> RunConfig:
-    """Merge config file, flag overrides, and defaults into a validated RunConfig.
+    """Merge the config file, --set overrides and flags into a validated RunConfig.
 
-    Precedence: flags > subcommand section > common section > defaults.
+    The subcommand is the argument, else --set's, else the common block's.
+    Every key then takes the last value of, lowest first: the common block,
+    that subcommand's section, --set, the flags. A seed given nowhere falls
+    back to MUXEPI_SEED, then 0.
     """
-    values: dict = {}
-    if path is not None:
-        sections = _read_config_file(path)
-        values.update(sections["common"])
-        values.update(sections.get(subcommand or values.get("subcommand"), {}))
-    for key, raw in (overrides or {}).items():
-        values[key] = _parse_value(key, raw, f"--set {key}")
-    sub = subcommand or values.get("subcommand")
-    if not sub:
-        raise ConfigError("no subcommand given (command line or config 'subcommand' key)")
+    sections = _read_config_file(path) if path is not None else {"common": {}}
+    sets = {key: _parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items()}
+    sub = subcommand or sets.get("subcommand") or sections["common"].get("subcommand")
     if sub not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {sub!r}")
-    values["subcommand"] = sub
-    name = "seed"
-    if seed is None:
-        seed = values.get("seed")
+        hint = "no subcommand given (command line, --set or config 'subcommand' key)"
+        raise ConfigError(f"unknown subcommand {sub!r}" if sub else hint)
+    # What the file and --set gave, which the manifest records; the flags win over it.
+    values = {**sections["common"], **sections.get(sub, {}), **sets, "subcommand": sub}
+    flags = {"out": out_dir, "seed": seed}
+    merged = {**values, **{k: v for k, v in flags.items() if v is not None}}
+    name, seed = "seed", merged.get("seed")
     if seed is None:
         name, seed = "MUXEPI_SEED", os.environ.get("MUXEPI_SEED") or "0"
     if not str(seed).strip().isdecimal():
         raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    resolved_out = out_dir or values.get("out") or "."
-    return RunConfig(
-        subcommand=sub,
-        out_dir=resolved_out,
-        seed=int(seed),
-        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-        values=values,
-    )
+    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+    return RunConfig(sub, merged.get("out") or ".", int(seed), jobs, values)
 
 
 def _gamma(config: RunConfig, betas) -> float:
@@ -201,11 +198,10 @@ def _networks(config: RunConfig):
     if aw_path or ct_path:
         missing = "contact_edges" if aw_path else "awareness_edges"
         raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
-    keys = ("n", "ba_m", "ws_k", "ws_p")
-    return replication_multiplex(*(config.get(k) for k in keys), config.seed)
+    return replication_multiplex(*(config.get(k) for k in _SPEC_KEYS[:4]), config.seed)
 
 
-def _experiment_spec(config: RunConfig, lambdas, betas, default_count=20) -> ExperimentSpec:
+def _experiment_spec(config: RunConfig, lambdas, betas, default_count=_SPEC.omega.count):
     """The spec of the run; its silenced set has `default_count` nodes unless sized by a key."""
     count = config.values.get("omega_count")
     fraction = config.values.get("omega_fraction")
@@ -213,21 +209,12 @@ def _experiment_spec(config: RunConfig, lambdas, betas, default_count=20) -> Exp
         count = default_count
     omega = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction)
     return ExperimentSpec(
-        n=config.get("n"),
-        ba_m=config.get("ba_m"),
-        ws_k=config.get("ws_k"),
-        ws_p=config.get("ws_p"),
         lambdas=tuple(lambdas),
         betas=tuple(betas),
-        delta=config.get("delta"),
-        mu=config.get("mu"),
         gamma=_gamma(config, betas),
-        initial_infected_fraction=config.get("initial_infected_fraction"),
         omega=omega,
-        replications=config.get("replications"),
         master_seed=config.seed,
-        max_steps=config.get("max_steps"),
-        tail_window=config.get("tail_window"),
+        **{k: config.get(k) for k in _SPEC_KEYS},
     )
 
 

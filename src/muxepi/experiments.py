@@ -53,11 +53,11 @@ class ExperimentSpec:
     delta: float = 0.04
     mu: float = 0.06
     gamma: float = 0.5
-    initial_infected_fraction: float = 0.001
+    initial_infected_fraction: float = DynamicsParams.initial_infected_fraction
     omega: OmegaSpec = OmegaSpec(strategy="random", count=20)
     replications: int = 10
     master_seed: int = 0
-    max_steps: int = 100_000
+    max_steps: int = DynamicsParams.max_steps
     tail_window: int = 100
 
     def __post_init__(self):

@@ -41,7 +41,13 @@ class Graph:
         if node_count < 0:
             raise InvalidArgumentError(f"node_count must be >= 0, got {node_count}")
         n = self.node_count = int(node_count)
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        try:
+            pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        except ValueError as exc:  # rows of different lengths
+            raise InvalidArgumentError(f"edges must be (i, j) pairs: {exc}") from exc
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"edges must hold integer node indices, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise InvalidArgumentError(f"edges must be (i, j) pairs, got shape {pairs.shape}")
         i, j = pairs.reshape(-1, 2).T
@@ -337,10 +343,10 @@ def _read_edge_text(path) -> Graph:
         header = fh.readline().strip()
         if not header.startswith("# nodes="):
             raise InvalidArgumentError(f"{path}: missing '# nodes=<N>' header")
-        try:
-            n = int(header.split("=", 1)[1])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: bad node count in header") from exc
+        count = header.split("=", 1)[1].strip()
+        if not count.isdecimal():
+            raise InvalidArgumentError(f"{path}: bad node count in header")
+        n = int(count)
         body = fh.tell()
         try:
             with warnings.catch_warnings():

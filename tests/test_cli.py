@@ -43,6 +43,58 @@ class TestParseConfig:
         assert len(_KEYS) == 27
         assert sorted(names) == sorted(_KEYS)
 
+    def test_readme_key_table_defaults_match_keys(self):
+        # Each row's default cell starts with the numbers of its keys' defaults, in order.
+        def numbers(default):
+            values = default if isinstance(default, tuple) else (default,)
+            return [v for v in values if isinstance(v, (int, float))]
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
+        checked = set()
+        for row in (r for r in table.splitlines() if r.startswith("| `")):
+            cells = row.split("|")
+            keys = [k for k in re.findall(r"`(\w+)`", cells[1]) if numbers(_KEYS[k][1])]
+            expected = [v for k in keys for v in numbers(_KEYS[k][1])]
+            found = re.findall(r"(?<![\w.])\d[\d.]*(?:e-?\d+)?", cells[3])[: len(expected)]
+            assert [float(x) for x in found] == expected, row
+            checked.update(keys)
+        assert checked == {k for k, (_, d) in _KEYS.items() if numbers(d)}
+
+    @pytest.mark.parametrize(
+        "text, sets, mu",
+        [
+            ("n = 60\n[threshold]\nmu = 0.2\n", {"subcommand": "threshold"}, 0.2),
+            ("subcommand = threshold\n[threshold]\nmu = 0.2\n", {"subcommand": "mmca"}, 0.06),
+            ("subcommand = threshold\n[threshold]\nmu = 0.2\n", {}, 0.2),
+        ],
+        ids=["set_subcommand_picks_section", "set_subcommand_beats_common", "common_subcommand"],
+    )
+    def test_section_follows_resolved_subcommand(self, text, sets, mu, tmp_path):
+        config = parse_config(write_config(tmp_path, text), overrides=sets)
+        sub = sets.get("subcommand", "threshold")
+        assert config.subcommand == config.values["subcommand"] == sub
+        assert config.get("mu") == mu
+
+    def test_out_precedence(self, tmp_path):
+        path = write_config(tmp_path, "out = file\n[threshold]\nout = section\n")
+        assert parse_config(path, subcommand="mmca").out_dir == "file"
+        assert parse_config(path, subcommand="threshold").out_dir == "section"
+        sets = {"out": "set"}
+        assert parse_config(path, overrides=sets, subcommand="threshold").out_dir == "set"
+        flag = parse_config(path, overrides=sets, subcommand="threshold", out_dir="flag")
+        assert flag.out_dir == "flag" and flag.values["out"] == "set"
+        assert parse_config(subcommand="threshold").out_dir == "."
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        path = write_config(tmp_path, "\n# a comment\n; another\n   \nn = 60\n")
+        config = parse_config(path, subcommand="threshold")
+        assert config.values == {"n": 60, "subcommand": "threshold"}
+
+    def test_unknown_subcommand_argument(self):
+        with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
+            parse_config(subcommand="bogus")
+
     def test_rate_out_of_range(self, tmp_path):
         path = write_config(tmp_path, "beta_u = 1.5\n")
         with pytest.raises(ConfigError, match="beta_u"):
@@ -156,6 +208,20 @@ class TestMainErrors:
             (["threshold", "--set", "tol=1e300"], "tol"),
             (["mmca", "--set", "tol=1"], "tol"),
             (["threshold", "--config", "latin1.cfg"], "latin1.cfg"),
+            (["threshold", "--config", "noequals.cfg"], "noequals.cfg:2: expected 'key = value'"),
+            (["threshold", "--set", "ba_m=abc"], "cannot parse value 'abc' for key 'ba_m'"),
+            (["heatmap", "--set", "lambdas=0.5,1.5"], "lambdas entry 1.5 outside range"),
+            (["threshold", "--set", "omega_strategy=bogus"], "unknown omega_strategy 'bogus'"),
+            (["threshold", "--set", "max_steps=0"], "max_steps must be >= 1"),
+            (["threshold", "--set", "omega_count=-1"], "count must be >= 0"),
+            (["generate", "--set", "ba_m=0"], "m must be >= 1"),
+            (["generate", "--set", "ws_k=0"], "k must be >= 2"),
+            (["threshold", "--set", "awareness_edges=abc.edges",
+              "--set", "contact_edges=ring.edges"], "abc.edges: bad node count in header"),
+            (["threshold", "--set", "awareness_edges=ring.edges",
+              "--set", "contact_edges=minus.edges"], "minus.edges: bad node count in header"),
+            (["threshold", "--set", "awareness_edges=ring.edges",
+              "--set", "contact_edges=huge.edges"], "huge.edges: node indices must fit in int64"),
             (["threshold", "--set", "awareness_edges=header.edges",
               "--set", "contact_edges=ring.edges"], "header.edges: not ASCII"),
             (["threshold", "--set", "awareness_edges=ring.edges",
@@ -166,14 +232,21 @@ class TestMainErrors:
              "awareness_edges_alone", "contact_edges_alone", "repeated_strategy",
              "repeated_fraction", "repeated_lambda", "repeated_beta", "mmca_zero_replications",
              "empty_strategies", "empty_fractions", "nan_tol", "mmca_inf_tol", "huge_tol",
-             "mmca_unit_tol", "config_not_utf8", "edge_header_not_ascii", "edge_body_not_ascii"],
+             "mmca_unit_tol", "config_not_utf8", "config_line_without_equals", "unparsable_value",
+             "list_entry_out_of_range", "unknown_choice", "zero_max_steps", "negative_omega_count",
+             "zero_ba_m", "zero_ws_k", "edge_header_not_a_number", "edge_header_negative",
+             "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nn = 60\n")
+        (tmp_path / "noequals.cfg").write_text("n = 60\nmu 0.1\n")
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "abc.edges").write_text("# nodes=abc\n0 1\n")
+        (tmp_path / "minus.edges").write_text("# nodes=-3\n")
+        (tmp_path / "huge.edges").write_text("# nodes=3\n0 99999999999999999999\n")
         (tmp_path / "header.edges").write_bytes("# nodes=3 \u00e9\n0 1\n".encode())
         # Past the first 8 KB chunk, so the header decodes and the body does not.
         (tmp_path / "body.edges").write_bytes(b"# nodes=3\n" + b"0 1\n" * 3000 + b"1 2 # \xff\n")

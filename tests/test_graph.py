@@ -62,6 +62,24 @@ class TestGraph:
         with pytest.raises(InvalidArgumentError, match=f"pairs, got shape {shape}"):
             Graph(4, edges)
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0.5, 1)], "integer node indices, got float64"),
+            (np.array([[0.0, 1.0]]), "integer node indices, got float64"),
+            (np.array([[True, False]]), "integer node indices, got bool"),
+            ([(0, 1), (2,)], r"must be \(i, j\) pairs: "),
+        ],
+        ids=["float_entry", "float_array", "bool_array", "ragged_rows"],
+    )
+    def test_rejects_non_integer_and_ragged_edges(self, edges, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            Graph(3, edges)
+
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(InvalidArgumentError, match="node_count must be >= 0, got -1"):
+            Graph(-1, [])
+
     def test_empty_edges_give_an_edge_free_graph(self):
         for edges in ([], (), np.empty(0), np.empty((0, 2)), np.empty((0, 3))):
             assert Graph(3, edges).edge_count == 0

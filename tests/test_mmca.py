@@ -464,6 +464,14 @@ class TestLeadingEigenvalue:
             2.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "m", [np.zeros((2, 3)), sparse.csr_matrix((3, 2)), np.zeros((0, 0))],
+        ids=["dense_2x3", "sparse_3x2", "empty"],
+    )
+    def test_rejects_non_square_or_empty(self, m):
+        with pytest.raises(InvalidArgumentError, match="non-empty square matrix"):
+            leading_eigenvalue(m)
+
     def test_sparse_must_be_symmetric(self):
         with pytest.raises(InvalidArgumentError, match="symmetric"):
             leading_eigenvalue(sparse.csr_matrix(np.triu(np.ones((4, 4)))))
