@@ -108,6 +108,10 @@ def _parse_value(key: str, raw: str, where: str):
         for v in value:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{where}: {key} entry {v} outside range [0,1]")
+    if kind == "names":
+        for v in value:
+            if v not in STRATEGIES:
+                raise ConfigError(f"{where}: unknown {key} entry {v!r}; choose from {STRATEGIES}")
     if isinstance(kind, tuple) and value not in kind:
         raise ConfigError(f"{where}: unknown {key} {value!r}")
     return value
@@ -136,6 +140,8 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
         key = key.strip()
+        if key == "subcommand" and current != "common":
+            raise ConfigError(f"{path}:{lineno}: key 'subcommand' belongs in the common block")
         sections[current][key] = _parse_value(key, raw.strip(), f"{path}:{lineno}")
     return sections
 

@@ -19,7 +19,7 @@ from . import __version__
 from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
 from .errors import InvalidArgumentError
 from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
-from .selection import OmegaSpec, rankings, select_omega
+from .selection import OmegaSpec, select_omega
 
 __all__ = [
     "ExperimentSpec",
@@ -126,27 +126,22 @@ def replication_omega(omega: OmegaSpec, awareness: Graph, master_seed, rep=0) ->
 
 
 def _run_task(task) -> list[Trajectory | _Outcome]:
-    """Build one replication's multiplex and random silenced set, then run each cell on them.
+    """Build one replication's multiplex, then run each cell on it.
 
+    Every cell's silenced set comes from `replication_omega`: a random set is
+    the same in every cell, and the awareness layer computes each centrality once.
     Only timeseries keeps the trajectory and its tail. Heatmap and sweep read
     the final rho_R, fixed once no node is infected, so they skip the tail;
     each run has its own RNG stream, so no other run's draws move.
     """
     spec, kind, rep, cells = task
     net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep)
-    # Rank once per replication, for the strategies with a cell that silences anyone.
-    ranked = {o.strategy for o, _, _ in cells if o.strategy != "random" and o.resolved_size(spec.n)}
-    orders = rankings(sorted(ranked), net.awareness_layer)
     curves = kind == _KIND_TIMESERIES
     results = []
     for cell, (omega, lam, beta_u) in enumerate(cells):
-        if omega.strategy in orders:
-            silenced = np.sort(orders[omega.strategy][: omega.resolved_size(spec.n)])
-        else:  # random, or a ranked strategy that silences nobody
-            silenced = replication_omega(omega, net.awareness_layer, spec.master_seed, rep)
         traj = run_to_absorption(
             net,
-            silenced,
+            replication_omega(omega, net.awareness_layer, spec.master_seed, rep),
             spec.params(lam, beta_u),
             _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
             tail_window=spec.tail_window if curves else 0,

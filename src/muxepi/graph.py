@@ -33,8 +33,8 @@ class Graph:
     """Simple undirected graph stored once, as a symmetric CSR with sorted rows.
 
     `indptr` and `indices` are read-only; the graph is never mutated after
-    __init__, so it is safe for concurrent reads. The scipy adjacency is built
-    on first use; two threads may both build it, always to the same matrix.
+    __init__, so it is safe for concurrent reads. The scipy adjacency and the
+    centralities are built on first use; two threads may both build one, to the same values.
     """
 
     def __init__(self, node_count: int, edges):
@@ -67,6 +67,7 @@ class Graph:
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
         self._adjacency = None
+        self._centralities = {}
 
     @property
     def edge_count(self) -> int:
@@ -87,6 +88,19 @@ class Graph:
             ones = np.ones(len(self.indices))
             self._adjacency = sparse.csr_matrix((ones, self.indices, self.indptr), shape=(n, n))
         return self._adjacency
+
+    def centrality(self, measure: str) -> np.ndarray:
+        """Per-node `degree`, `betweenness` or `clustering`: read-only float64, built once."""
+        if measure not in self._centralities:
+            # Looked up per call, so wrappers installed on this module's names see the calls.
+            compute = dict(
+                degree=degree_sequence, betweenness=betweenness, clustering=clustering_coefficients
+            ).get(measure)
+            if compute is None:
+                raise InvalidArgumentError(f"unknown centrality {measure!r}")
+            score = self._centralities[measure] = np.array(compute(self), dtype=np.float64)
+            score.flags.writeable = False
+        return self._centralities[measure]
 
     def __eq__(self, other):
         return (

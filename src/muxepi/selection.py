@@ -1,8 +1,8 @@
 """Choosing which nodes never participate in awareness diffusion.
 
 Rankings are computed on the awareness layer, where the selected nodes are
-silenced. Ties break by ascending node index so every strategy is a total,
-reproducible order.
+silenced, from the centralities it caches. Ties break by ascending node index
+so every strategy is a total, reproducible order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph, betweenness, clustering_coefficients, degree_sequence
+from .graph import Graph
 
 STRATEGIES = (
     "random",
@@ -24,9 +24,7 @@ STRATEGIES = (
     "clustering_bottom",
 )
 
-__all__ = [
-    "STRATEGIES", "OmegaSpec", "rankings", "select_omega", "write_omega_set"
-]
+__all__ = ["STRATEGIES", "OmegaSpec", "select_omega", "write_omega_set"]
 
 
 @dataclass(frozen=True)
@@ -60,26 +58,6 @@ class OmegaSpec:
         return int(round(self.fraction * n))
 
 
-def rankings(strategies, awareness: Graph) -> dict:
-    """Each ranked (non-random) strategy's full node order, most eligible first.
-
-    Ties break by ascending index. Each centrality is computed once, however
-    many of the strategies rank by it.
-    """
-    # Looked up per call, so wrappers installed on this module's names see the calls.
-    measures = dict(
-        degree=degree_sequence, betweenness=betweenness, clustering=clustering_coefficients
-    )
-    scores, orders = {}, {}
-    for strategy in strategies:
-        measure, end = strategy.rsplit("_", 1)
-        if measure not in scores:
-            scores[measure] = measures[measure](awareness).astype(np.float64)
-        score = -scores[measure] if end == "top" else scores[measure]
-        orders[strategy] = np.argsort(score, kind="stable")
-    return orders
-
-
 def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
     """The selected node indices as a sorted int64 array; only `random` reads `seed`."""
     n = awareness.node_count
@@ -89,7 +67,10 @@ def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
     if spec.strategy == "random":
         rng = np.random.default_rng(seed)
         return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    return np.sort(rankings([spec.strategy], awareness)[spec.strategy][:k]).astype(np.int64)
+    measure, end = spec.strategy.rsplit("_", 1)
+    score = awareness.centrality(measure)
+    order = np.argsort(-score if end == "top" else score, kind="stable")
+    return np.sort(order[:k]).astype(np.int64)
 
 
 def write_omega_set(nodes, path) -> None:

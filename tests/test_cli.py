@@ -226,6 +226,10 @@ class TestMainErrors:
               "--set", "contact_edges=ring.edges"], "header.edges: not ASCII"),
             (["threshold", "--set", "awareness_edges=ring.edges",
               "--set", "contact_edges=body.edges"], "body.edges: not ASCII"),
+            (["sweep", "--set", "strategies=bogus,random"],
+             "--set strategies: unknown strategies entry 'bogus'"),
+            (["threshold", "--config", "section_subcommand.cfg"],
+             "section_subcommand.cfg:3: key 'subcommand'"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -235,7 +239,8 @@ class TestMainErrors:
              "mmca_unit_tol", "config_not_utf8", "config_line_without_equals", "unparsable_value",
              "list_entry_out_of_range", "unknown_choice", "zero_max_steps", "negative_omega_count",
              "zero_ba_m", "zero_ws_k", "edge_header_not_a_number", "edge_header_negative",
-             "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii"],
+             "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii",
+             "unknown_strategy_entry", "subcommand_in_section"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -243,6 +248,7 @@ class TestMainErrors:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nn = 60\n")
         (tmp_path / "noequals.cfg").write_text("n = 60\nmu 0.1\n")
+        (tmp_path / "section_subcommand.cfg").write_text("[threshold]\nmu = 0.2\nsubcommand = mmca\n")
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
         (tmp_path / "abc.edges").write_text("# nodes=abc\n0 1\n")
         (tmp_path / "minus.edges").write_text("# nodes=-3\n")

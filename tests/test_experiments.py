@@ -13,7 +13,7 @@ from muxepi import (
     read_edge_list,
     timeseries_experiment,
 )
-from muxepi import dynamics, experiments, selection
+from muxepi import dynamics, experiments, graph
 from muxepi.cli import main
 from muxepi.dynamics import I, mc_step
 from muxepi.experiments import plateau_step
@@ -399,20 +399,25 @@ class TestSweep:
 
 
 class TestRankingCache:
-    """A replication ranks each centrality once and slices that order per fraction."""
+    """A replication computes each centrality once, on its awareness layer, and
+    every cell's set is cut from it by `select_omega`."""
 
     STRATEGIES = ["betweenness_top", "betweenness_bottom", "clustering_top"]
     FRACTIONS = [0.1, 0.2, 0.3]
 
-    def test_one_centrality_call_per_replication(self, monkeypatch, tmp_path):
-        calls = {"betweenness": 0, "clustering_coefficients": 0}
+    def count_calls(self, monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
         for name in calls:
 
-            def counted(g, name=name, real=getattr(selection, name)):
+            def counted(g, name=name, real=getattr(graph, name)):
                 calls[name] += 1
                 return real(g)
 
-            monkeypatch.setattr(selection, name, counted)
+            monkeypatch.setattr(graph, name, counted)
+        return calls
+
+    def test_one_centrality_call_per_replication(self, monkeypatch, tmp_path):
+        calls = self.count_calls(monkeypatch, "betweenness", "clustering_coefficients")
         spec = small_spec(replications=2)
         blobs = []
         for jobs in (1, 2):
@@ -422,6 +427,13 @@ class TestRankingCache:
             res.write_csv(tmp_path / f"sweep{jobs}.csv")
             blobs.append((tmp_path / f"sweep{jobs}.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_zero_fraction_reads_no_centrality(self, monkeypatch):
+        names = ("degree_sequence", "betweenness", "clustering_coefficients")
+        calls = self.count_calls(monkeypatch, *names)
+        strategies = ["degree_top", "betweenness_top", "clustering_bottom", "random"]
+        omega_ratio_sweep(small_spec(replications=2), strategies, [0.0])
+        assert calls == dict.fromkeys(names, 0)
 
     def test_sliced_orders_equal_select_omega(self, monkeypatch):
         runs = []

@@ -94,6 +94,27 @@ class TestGraph:
         assert mat.sum() == 2 * g.edge_count
 
 
+class TestCentralityCache:
+    MEASURES = {
+        "degree": degree_sequence,
+        "betweenness": betweenness,
+        "clustering": clustering_coefficients,
+    }
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_computed_once_and_bit_equal(self, measure):
+        g = generate_ba(120, 3, seed=5)
+        score = g.centrality(measure)
+        assert g.centrality(measure) is score
+        assert score.dtype == np.float64 and not score.flags.writeable
+        expected = self.MEASURES[measure](generate_ba(120, 3, seed=5)).astype(np.float64)
+        assert score.tobytes() == expected.tobytes()
+
+    def test_unknown_measure(self):
+        with pytest.raises(InvalidArgumentError, match="pagerank"):
+            complete_graph(3).centrality("pagerank")
+
+
 class TestGenerateBA:
     def test_n_less_than_m_rejected(self):
         with pytest.raises(InvalidArgumentError):
