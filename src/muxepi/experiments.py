@@ -10,13 +10,13 @@ replication). Output files are byte-identical across re-runs and worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import A, R, DynamicsParams, Trajectory, run_to_absorption
+from .dynamics import A, R, DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError
 from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
@@ -24,6 +24,7 @@ from .selection import OmegaSpec, select_omega
 __all__ = [
     "ExperimentSpec",
     "GridResult",
+    "RunRecord",
     "TimeseriesResult",
     "heatmap_experiment",
     "timeseries_experiment",
@@ -99,11 +100,16 @@ def _seed_rng(master_seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-class _Outcome(NamedTuple):
-    """The part of a trajectory that heatmap and sweep read."""
+class RunRecord(NamedTuple):
+    """What every experiment reads of one (cell, replication) run. Only timeseries
+    keeps `curves`, the (steps, 2) rho_R and rho_A columns, and a tail; heatmap
+    and sweep run none, so their tail rho_A is the awareness at absorption."""
 
     final_rho_r: float
     absorbed: bool
+    tail_rho_a: float
+    plateau_step: int
+    curves: np.ndarray | None
 
 
 def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexNetwork:
@@ -125,19 +131,19 @@ def replication_omega(omega: OmegaSpec, awareness: Graph, master_seed, rep=0) ->
     return select_omega(omega, awareness, seed=int(key.generate_state(1)[0]))
 
 
-def _run_task(task) -> list[Trajectory | _Outcome]:
+def _run_task(task) -> list[RunRecord]:
     """Build one replication's multiplex, then run each cell on it.
 
     Every cell's silenced set comes from `replication_omega`: a random set is
     the same in every cell, and the awareness layer computes each centrality once.
-    Only timeseries keeps the trajectory and its tail. Heatmap and sweep read
+    Only timeseries keeps the curves and the tail. Heatmap and sweep read
     the final rho_R, fixed once no node is infected, so they skip the tail;
     each run has its own RNG stream, so no other run's draws move.
     """
     spec, kind, rep, cells = task
     net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep)
     curves = kind == _KIND_TIMESERIES
-    results = []
+    records = []
     for cell, (omega, lam, beta_u) in enumerate(cells):
         traj = run_to_absorption(
             net,
@@ -146,12 +152,14 @@ def _run_task(task) -> list[Trajectory | _Outcome]:
             _seed_rng(spec.master_seed, kind, cell, rep, _NS_DYNAMICS),
             tail_window=spec.tail_window if curves else 0,
         )
-        results.append(traj if curves else _Outcome(traj.final_rho_r, traj.absorbed))
-    return results
+        records.append(RunRecord(traj.final_rho_r, traj.absorbed, traj.mean_tail_rho_a,
+                                 plateau_step(traj.steps[:, R]),
+                                 traj.steps[:, [R, A]] if curves else None))
+    return records
 
 
 def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[tuple]:
-    """Each cell's replication results from `_run_task`, in cell order.
+    """Each cell's replication records from `_run_task`, in cell order.
 
     A cell is (omega, lambda, beta_u); its index in `cells` is the cell part
     of its dynamics spawn key. One task is one replication, so at most
@@ -166,10 +174,6 @@ def _run_grid(spec: ExperimentSpec, kind: int, cells, jobs: int) -> list[tuple]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_run_task, tasks, chunksize=1))
     return list(zip(*reps))
-
-
-def _non_absorbed(grid) -> int:
-    return sum(not t.absorbed for trajs in grid for t in trajs)
 
 
 def average_replications(values):
@@ -189,9 +193,9 @@ def plateau_step(rho_r: np.ndarray, tol: float = 0.01) -> int:
 
 
 def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
-    """Stack curves of different lengths, carrying final values forward."""
+    """Stack (steps, 2) curves of different lengths, carrying final rows forward."""
     length = max(len(c) for c in curves)
-    return np.array([np.pad(c, (0, length - len(c)), mode="edge") for c in curves])
+    return np.array([np.pad(c, ((0, length - len(c)), (0, 0)), mode="edge") for c in curves])
 
 
 def _write_csv(path, spec: ExperimentSpec, columns: str, rows) -> None:
@@ -209,18 +213,22 @@ def _label(value) -> str:
 
 @dataclass
 class GridResult:
-    """Mean and std of the final rho_R over replications in each cell of a grid.
-
-    Cell (i, j) is (rows[i], cols[j]): (lambda, beta_u) or (strategy, fraction).
-    """
+    """Each cell's replication records, and the mean and std of their final rho_R;
+    cell (i, j) is (rows[i], cols[j]): (lambda, beta_u) or (strategy, fraction)."""
 
     spec: ExperimentSpec
     columns: str  # the CSV column header
     rows: tuple
     cols: tuple
-    mean_rho_r: np.ndarray  # shape (len(rows), len(cols))
-    std_rho_r: np.ndarray
-    non_absorbed: int
+    runs: list  # cell (i, j)'s tuple of RunRecords is runs[i * len(cols) + j]
+    mean_rho_r: np.ndarray = field(init=False)  # shape (len(rows), len(cols))
+    std_rho_r: np.ndarray = field(init=False)
+    non_absorbed: int = field(init=False)
+
+    def __post_init__(self):
+        stats = np.array([average_replications([r.final_rho_r for r in rs]) for rs in self.runs])
+        self.mean_rho_r, self.std_rho_r = stats.T.reshape(2, len(self.rows), len(self.cols))
+        self.non_absorbed = sum(not r.absorbed for rs in self.runs for r in rs)
 
     def curve(self, row) -> np.ndarray:
         return self.mean_rho_r[self.rows.index(row)]
@@ -235,72 +243,51 @@ class GridResult:
         _write_csv(path, self.spec, self.columns, lines)
 
 
-def _grid_result(spec, kind, columns, rows, cols, cells, jobs) -> GridResult:
-    """Run the cells, row-major over rows x cols, and average each cell's replications."""
-    grid = _run_grid(spec, kind, cells, jobs)
-    stats = np.array([average_replications([t.final_rho_r for t in outs]) for outs in grid])
-    mean, std = stats.T.reshape(2, len(rows), len(cols))
-    return GridResult(spec, columns, rows, cols, mean, std, _non_absorbed(grid))
+class TimeseriesResult(GridResult):
+    """A grid over (lambda,) x betas whose records carry their curves."""
+
+    def mean_curves(self, j: int) -> np.ndarray:
+        """Replication means of betas[j]'s (steps, 2) rho_R and rho_A curves."""
+        return _pad_forward([r.curves for r in self.runs[j]]).mean(axis=0)
+
+    def write_csv(self, path) -> None:
+        rows = (
+            f"{_label(beta)},{t},{float(rr)!r},{float(ra)!r}"
+            for j, beta in enumerate(self.cols)
+            for t, (rr, ra) in enumerate(self.mean_curves(j))
+        )
+        _write_csv(path, self.spec, self.columns, rows)
+
+
+def _only(spec: ExperimentSpec, name: str):
+    """The axis's one entry: an experiment that runs one would drop the others."""
+    values = getattr(spec, name)
+    if len(values) != 1:
+        raise InvalidArgumentError(f"{name} must hold one entry here, got {tuple(values)}")
+    return values[0]
 
 
 def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
     cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
-    columns = "lambda,beta_u,mean_rho_r,std_rho_r"
-    return _grid_result(spec, _KIND_HEATMAP, columns, spec.lambdas, spec.betas, cells, jobs)
-
-
-@dataclass
-class TimeseriesResult:
-    spec: ExperimentSpec
-    mean_rho_r: dict  # beta -> np.ndarray over steps
-    mean_rho_a: dict
-    final_rho_r: dict  # beta -> per-replication finals
-    tail_rho_a: dict  # beta -> per-replication tail-averaged awareness
-    plateau_steps: dict  # beta -> per-replication plateau step of rho_r
-    non_absorbed: int
-
-    def write_csv(self, path) -> None:
-        rows = (
-            f"{float(beta)!r},{t},{float(rr)!r},{float(ra)!r}"
-            for beta in self.spec.betas
-            for t, (rr, ra) in enumerate(zip(self.mean_rho_r[beta], self.mean_rho_a[beta]))
-        )
-        _write_csv(path, self.spec, "beta_u,step,rho_R,rho_A", rows)
+    runs = _run_grid(spec, _KIND_HEATMAP, cells, jobs)
+    return GridResult(spec, "lambda,beta_u,mean_rho_r,std_rho_r", spec.lambdas, spec.betas, runs)
 
 
 def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResult:
-    """Replication-averaged rho_R(t) / rho_A(t) curves at the first lambda, for each beta_u."""
-    lam, betas = spec.lambdas[0], spec.betas
-    grid = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, beta) for beta in betas], jobs)
-    mean_rr, mean_ra, finals, tails, plateaus = {}, {}, {}, {}, {}
-    for beta, trajs in zip(betas, grid):
-        mean_rr[beta] = _pad_forward([t.steps[:, R] for t in trajs]).mean(axis=0)
-        mean_ra[beta] = _pad_forward([t.steps[:, A] for t in trajs]).mean(axis=0)
-        finals[beta] = [t.final_rho_r for t in trajs]
-        tails[beta] = [t.mean_tail_rho_a for t in trajs]
-        plateaus[beta] = [plateau_step(t.steps[:, R]) for t in trajs]
-    return TimeseriesResult(
-        spec=spec,
-        mean_rho_r=mean_rr,
-        mean_rho_a=mean_ra,
-        final_rho_r=finals,
-        tail_rho_a=tails,
-        plateau_steps=plateaus,
-        non_absorbed=_non_absorbed(grid),
-    )
+    """Replication-averaged rho_R(t) / rho_A(t) curves at the one lambda, for each beta_u."""
+    lam = _only(spec, "lambdas")
+    runs = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, b) for b in spec.betas], jobs)
+    return TimeseriesResult(spec, "beta_u,step,rho_R,rho_A", spec.lambdas, spec.betas, runs)
 
 
 def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> GridResult:
-    """Mean final recovered fraction against the silenced-node fraction.
-
-    Uses the single (lambda, beta_u) pair from the spec grids.
-    """
+    """Mean final recovered fraction against the silenced-node fraction,
+    at the spec's one lambda and one beta_u."""
     strategies, fractions = tuple(strategies), tuple(fractions)
     _check_axis("strategies", strategies)
     _check_axis("fractions", fractions)
-    lam, beta = spec.lambdas[0], spec.betas[0]
-    keys = [(strat, frac) for strat in strategies for frac in fractions]
-    cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s, f in keys]
-    columns = "strategy,fraction,mean_rho_r,std_rho_r"
-    return _grid_result(spec, _KIND_SWEEP, columns, strategies, fractions, cells, jobs)
+    lam, beta = _only(spec, "lambdas"), _only(spec, "betas")
+    cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s in strategies for f in fractions]
+    runs = _run_grid(spec, _KIND_SWEEP, cells, jobs)
+    return GridResult(spec, "strategy,fraction,mean_rho_r,std_rho_r", strategies, fractions, runs)

@@ -204,10 +204,10 @@ def silenced_hub_timeseries():
 
 def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
     top, bottom = silenced_hub_timeseries
-    top_final = float(np.mean(top.final_rho_r[0.8]))
-    bottom_final = float(np.mean(bottom.final_rho_r[0.8]))
-    top_plateau = float(np.mean(top.plateau_steps[0.8]))
-    bottom_plateau = float(np.mean(bottom.plateau_steps[0.8]))
+    top_final = float(top.mean_rho_r[0, 2])  # beta_u = 0.8
+    bottom_final = float(bottom.mean_rho_r[0, 0])
+    top_plateau = float(np.mean([r.plateau_step for r in top.runs[2]]))
+    bottom_plateau = float(np.mean([r.plateau_step for r in bottom.runs[0]]))
     ok_finals = top_final >= 0.8 and bottom_final <= 0.45
     ok_plateaus = top_plateau < 120 and bottom_plateau > 150
     ok = ok_finals and ok_plateaus
@@ -266,7 +266,10 @@ def test_criterion_8_silenced_fraction_sweep():
 
 def test_criterion_9_awareness_plateau_independence(silenced_hub_timeseries):
     top, _ = silenced_hub_timeseries
-    tails = {beta: float(np.mean(top.tail_rho_a[beta])) for beta in (0.2, 0.5, 0.8)}
+    tails = {
+        beta: float(np.mean([r.tail_rho_a for r in top.runs[j]]))
+        for j, beta in enumerate(top.cols)
+    }
     spread = max(tails.values()) - min(tails.values())
     ok = spread <= 0.05
     detail = ", ".join(f"beta={b}: {v:.4f}" for b, v in tails.items())

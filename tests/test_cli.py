@@ -417,6 +417,23 @@ class TestExperimentsSubcommands:
         assert manifest["non_absorbed_runs"] == 0
         assert "sweep.csv" in manifest["outputs"]
 
+    @pytest.mark.parametrize(
+        "subcommand, axes",
+        [
+            ("heatmap", ["lambdas=0.5", "betas=0.5"]),
+            ("timeseries", ["lambda=0.5", "betas=0.5"]),
+            ("sweep", ["strategies=random", "fractions=0.1"]),
+        ],
+    )
+    def test_runs_that_do_not_absorb_exit_1(self, subcommand, axes, tmp_path):
+        argv = [subcommand, "--seed", "11", "--jobs", "1", "--out", str(tmp_path)]
+        for item in ["n=100", "max_steps=3", "replications=2", *axes]:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        assert manifest["non_absorbed_runs"] == 2
+
 
 # Prints, as JSON, the scipy and process-pool modules loaded after
 # `import muxepi, muxepi.cli` and after each `main` call given in argv[1].

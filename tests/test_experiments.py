@@ -94,6 +94,21 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match=key):
             omega_ratio_sweep(small_spec(), strategies, fractions)
 
+    @pytest.mark.parametrize(
+        "experiment, axis",
+        [
+            (timeseries_experiment, {"lambdas": (0.2, 0.9)}),
+            (lambda spec: omega_ratio_sweep(spec, ["random"], [0.1]), {"lambdas": (0.2, 0.9)}),
+            (lambda spec: omega_ratio_sweep(spec, ["random"], [0.1]), {"betas": (0.1, 0.4)}),
+        ],
+        ids=["timeseries-lambdas", "sweep-lambdas", "sweep-betas"],
+    )
+    def test_axis_entry_the_experiment_would_drop_rejected(self, experiment, axis):
+        # Only the first entry would run, under a header that lists them all.
+        [key] = axis
+        with pytest.raises(InvalidArgumentError, match=key):
+            experiment(small_spec(n=60, replications=1, **axis))
+
 
 class TestHeatmap:
     def test_zero_beta_column_is_exact_seed_fraction(self):
@@ -180,11 +195,14 @@ class TestGridResult:
     def test_linspace_axes_write_plain_float_reprs(self, tmp_path):
         # The CLI's default heatmap axes are numpy float64 values.
         axis = tuple(np.linspace(0.0, 1.0, 21))
-        rng = np.random.default_rng(3)
-        mean, std = rng.random((2, 21, 21))
+        finals = np.random.default_rng(3).random((21 * 21, 3))
+        runs = [tuple(experiments.RunRecord(f, True, 0.0, 0, None) for f in cell) for cell in finals]
         res = experiments.GridResult(
-            small_spec(), "lambda,beta_u,mean_rho_r,std_rho_r", axis, axis, mean, std, 0
+            small_spec(), "lambda,beta_u,mean_rho_r,std_rho_r", axis, axis, runs
         )
+        mean, std = res.mean_rho_r, res.std_rho_r
+        assert mean[2, 5] == np.mean(finals[2 * 21 + 5])
+        assert std[2, 5] == np.std(finals[2 * 21 + 5], ddof=1)
         res.write_csv(tmp_path / "hm.csv")
         rows = (tmp_path / "hm.csv").read_text().splitlines()[2:]
         assert rows == [
@@ -225,11 +243,12 @@ class TestTailSkip:
             "heatmap": heatmap_experiment,
             "sweep": lambda spec: omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.2]),
         }
+        betas = {"heatmap": (0.1, 0.4), "sweep": (0.1,)}
         for name, driver in drivers.items():
             blobs = []
             for tail in (0, 100):
                 p = tmp_path / f"{name}{tail}.csv"
-                driver(small_spec(betas=(0.1, 0.4), tail_window=tail)).write_csv(p)
+                driver(small_spec(betas=betas[name], tail_window=tail)).write_csv(p)
                 blobs.append(p.read_text().splitlines())
             assert blobs[0][0] != blobs[1][0], name
             assert blobs[0][1:] == blobs[1][1:], name
@@ -245,10 +264,49 @@ class TestTailSkip:
     def test_timeseries_keeps_the_tail(self, step_calls):
         spec = small_spec(tail_window=37)
         kind = experiments._KIND_TIMESERIES
-        [traj] = experiments._run_task((spec, kind, 0, [(spec.omega, 0.5, 0.3)]))
-        assert traj.absorbed
-        assert len(step_calls) == traj.absorption_step + 37
-        assert len(traj.steps) == traj.absorption_step + 1 + 37
+        [record] = experiments._run_task((spec, kind, 0, [(spec.omega, 0.5, 0.3)]))
+        assert record.absorbed
+        absorption_step = [sv.tallies[I] for sv in step_calls].index(0) + 1
+        assert len(step_calls) == absorption_step + 37
+        assert record.curves.shape == (absorption_step + 1 + 37, 2)
+
+
+class TestRecordReplay:
+    """A record is the run `run_to_absorption` gives on its replication's
+    multiplex and silenced set, drawing from spawn key (kind, cell, rep, 3)."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [experiments._KIND_HEATMAP, experiments._KIND_TIMESERIES, experiments._KIND_SWEEP],
+    )
+    def test_record_equals_a_direct_run(self, kind):
+        spec = small_spec(n=100, tail_window=20)
+        cells = [(spec.omega, 0.5, 0.3), (OmegaSpec(strategy="degree_top", fraction=0.1), 0.8, 0.6)]
+        cell, rep = 1, 2
+        record = experiments._run_task((spec, kind, rep, cells))[cell]
+
+        omega, lam, beta_u = cells[cell]
+        net = experiments.replication_multiplex(
+            spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep
+        )
+        omega_set = experiments.replication_omega(omega, net.awareness_layer, spec.master_seed, rep)
+        seed = np.random.SeedSequence(spec.master_seed, spawn_key=(kind, cell, rep, 3))
+        timeseries = kind == experiments._KIND_TIMESERIES
+        traj = dynamics.run_to_absorption(
+            net,
+            omega_set,
+            spec.params(lam, beta_u),
+            np.random.default_rng(seed),
+            tail_window=spec.tail_window if timeseries else 0,
+        )
+        assert record.final_rho_r == traj.final_rho_r
+        assert record.absorbed == traj.absorbed
+        assert record.tail_rho_a == traj.mean_tail_rho_a
+        assert record.plateau_step == plateau_step(traj.steps[:, dynamics.R])
+        if timeseries:
+            assert np.array_equal(record.curves, traj.steps[:, [dynamics.R, dynamics.A]])
+        else:
+            assert record.curves is None
 
 
 class TestSharedNetworks:
@@ -327,14 +385,18 @@ class TestTimeseries:
     def test_curves_and_summaries(self):
         spec = small_spec(betas=(0.2, 0.6))
         res = timeseries_experiment(spec)
-        for beta in (0.2, 0.6):
-            assert len(res.final_rho_r[beta]) == 3
-            assert len(res.mean_rho_r[beta]) == len(res.mean_rho_a[beta])
+        assert res.mean_rho_r.shape == (1, 2)
+        for j in range(2):
+            records = res.runs[j]
+            assert len(records) == 3
+            curves = res.mean_curves(j)
+            assert curves.shape[1] == 2
             # rho_R(t) is non-decreasing in each replication mean.
-            rr = res.mean_rho_r[beta]
+            rr = curves[:, 0]
             assert (np.diff(rr) >= -1e-12).all()
-            assert all(0 <= p < len(rr) for p in res.plateau_steps[beta])
-            assert all(0.0 <= a <= 1.0 for a in res.tail_rho_a[beta])
+            assert res.mean_rho_r[0, j] == np.mean([r.curves[-1, 0] for r in records])
+            assert all(0 <= r.plateau_step < len(r.curves) for r in records)
+            assert all(0.0 <= r.tail_rho_a <= 1.0 for r in records)
 
     def test_csv_format(self, tmp_path):
         spec = small_spec()
@@ -343,7 +405,7 @@ class TestTimeseries:
         res.write_csv(p)
         lines = p.read_text().splitlines()
         assert lines[1] == "beta_u,step,rho_R,rho_A,replications"
-        assert len(lines) == 2 + len(res.mean_rho_r[0.3])
+        assert len(lines) == 2 + len(res.mean_curves(0))
         assert all(float(x) is not None for x in lines[2].split(","))
 
     def test_header_grid_is_the_rows_grid(self, tmp_path):
