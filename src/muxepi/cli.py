@@ -38,8 +38,7 @@ _SPEC = ExperimentSpec()  # the model's defaults, each written once, in experime
 
 # key -> (kind, default). A kind is a tag, or the tuple of allowed strings.
 # A None default leaves the key unset unless given: seed and out fall back in
-# parse_config, and the subcommand that reads the key owns its fallback
-# (lambdas, betas, omega_count).
+# parse_config, omega_count in its subcommand; lambda and beta_u are never stored.
 _KEYS = {
     "subcommand": (SUBCOMMANDS, None),
     "seed": ("int", None),
@@ -50,8 +49,8 @@ _KEYS = {
     "ws_p": ("rate", _SPEC.ws_p),
     "awareness_edges": ("str", None),
     "contact_edges": ("str", None),
-    "lambda": ("rate", _SPEC.lambdas[0]),
-    "beta_u": ("rate", _SPEC.betas[0]),
+    "lambda": ("rate", None),
+    "beta_u": ("rate", None),
     "beta_a": ("rate", None),
     "gamma": ("rate", _SPEC.gamma),
     "delta": ("rate", _SPEC.delta),
@@ -62,13 +61,15 @@ _KEYS = {
     "omega_strategy": (STRATEGIES, _SPEC.omega.strategy),
     "omega_count": ("int", None),
     "omega_fraction": ("float", None),
-    "lambdas": ("rates", None),
-    "betas": ("rates", None),
+    "lambdas": ("rates", _SPEC.lambdas),
+    "betas": ("rates", _SPEC.betas),
     "strategies": ("names", ("degree_top", "random", "degree_bottom")),
     "fractions": ("rates", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
     "replications": ("int", _SPEC.replications),
     "tail_window": ("int", _SPEC.tail_window),
 }
+# The one-value spelling of each rate axis: _parse_value stores lambda=x as lambdas=(x,).
+_AXES = {"lambda": "lambdas", "beta_u": "betas"}
 # The keys that name ExperimentSpec fields; the first four build the multiplex.
 _SPEC_KEYS = ("n", "ba_m", "ws_k", "ws_p", "delta", "mu", "initial_infected_fraction",
               "replications", "max_steps", "tail_window")
@@ -114,7 +115,7 @@ def _parse_value(key: str, raw: str, where: str):
                 raise ConfigError(f"{where}: unknown {key} entry {v!r}; choose from {STRATEGIES}")
     if isinstance(kind, tuple) and value not in kind:
         raise ConfigError(f"{where}: unknown {key} {value!r}")
-    return value
+    return (_AXES[key], (value,)) if key in _AXES else (key, value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -142,7 +143,7 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key == "subcommand" and current != "common":
             raise ConfigError(f"{path}:{lineno}: key 'subcommand' belongs in the common block")
-        sections[current][key] = _parse_value(key, raw.strip(), f"{path}:{lineno}")
+        sections[current].update([_parse_value(key, raw.strip(), f"{path}:{lineno}")])
     return sections
 
 
@@ -162,7 +163,7 @@ def parse_config(
     back to MUXEPI_SEED, then 0.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
-    sets = {key: _parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items()}
+    sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
     sub = subcommand or sets.get("subcommand") or sections["common"].get("subcommand")
     if sub not in SUBCOMMANDS:
         hint = "no subcommand given (command line, --set or config 'subcommand' key)"
@@ -176,6 +177,9 @@ def parse_config(
         name, seed = "MUXEPI_SEED", os.environ.get("MUXEPI_SEED") or "0"
     if not str(seed).strip().isdecimal():
         raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    edges = [k for k in ("awareness_edges", "contact_edges") if k in values]
+    if edges and sub in ("heatmap", "timeseries", "sweep"):
+        raise ConfigError(f"{sub} builds its own multiplexes and reads no {' or '.join(edges)}")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -187,6 +191,8 @@ def _gamma(config: RunConfig, betas) -> float:
     beta_a = config.values.get("beta_a")
     if beta_a is None:
         return config.get("gamma")
+    if "gamma" in config.values:
+        raise ConfigError("gamma and beta_a are both given; beta_a sets gamma = beta_a / beta_u")
     if len(betas) != 1:
         raise ConfigError(f"beta_a needs exactly one beta_u, got betas={tuple(betas)}")
     if betas[0] == 0.0:
@@ -255,11 +261,10 @@ def _generate(config: RunConfig, out) -> dict:
 
 def _mmca_inputs(config: RunConfig):
     """The multiplex, parameters and replication 0's silenced set of threshold and mmca."""
+    spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"), default_count=0)
     net = _networks(config)
-    lam, beta_u = config.get("lambda"), config.get("beta_u")
-    spec = _experiment_spec(config, (lam,), (beta_u,), default_count=0)
     omega_set = replication_omega(spec.omega, net.awareness_layer, config.seed)
-    return net, spec.params(lam, beta_u), omega_set
+    return net, spec.params(spec.only("lambdas"), spec.only("betas")), omega_set
 
 
 def _threshold(config: RunConfig, out) -> dict:
@@ -295,13 +300,13 @@ def _heatmap(config: RunConfig, out) -> dict:
 
 def _timeseries(config: RunConfig, out) -> dict:
     betas = config.values.get("betas", (0.2, 0.5, 0.8))
-    spec = _experiment_spec(config, (config.get("lambda"),), betas)
+    spec = _experiment_spec(config, config.get("lambdas"), betas)
     result = timeseries_experiment(spec, jobs=config.jobs)
     return _experiment_outputs(result, out("timeseries.csv"))
 
 
 def _sweep(config: RunConfig, out) -> dict:
-    spec = _experiment_spec(config, (config.get("lambda"),), (config.get("beta_u"),))
+    spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
     result = omega_ratio_sweep(
         spec, config.get("strategies"), config.get("fractions"), jobs=config.jobs
     )
@@ -363,8 +368,9 @@ def main(argv=None) -> int:
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            overrides[key.strip()] = value.strip()
+            key, value = (part.strip() for part in item.split("=", 1))
+            overrides.pop(key, None)  # re-inserted last, so a repeated key keeps its last position
+            overrides[key] = value
         config = parse_config(
             path=args.config,
             overrides=overrides,

@@ -83,6 +83,13 @@ class ExperimentSpec:
             max_steps=self.max_steps,
         )
 
+    def only(self, name: str):
+        """The axis's one entry: a run that uses one would drop the others."""
+        values = getattr(self, name)
+        if len(values) != 1:
+            raise InvalidArgumentError(f"{name} must hold one entry here, got {tuple(values)}")
+        return values[0]
+
     def serialize(self) -> str:
         d = asdict(self)
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
@@ -259,14 +266,6 @@ class TimeseriesResult(GridResult):
         _write_csv(path, self.spec, self.columns, rows)
 
 
-def _only(spec: ExperimentSpec, name: str):
-    """The axis's one entry: an experiment that runs one would drop the others."""
-    values = getattr(spec, name)
-    if len(values) != 1:
-        raise InvalidArgumentError(f"{name} must hold one entry here, got {tuple(values)}")
-    return values[0]
-
-
 def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
     cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
@@ -276,7 +275,7 @@ def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
 
 def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResult:
     """Replication-averaged rho_R(t) / rho_A(t) curves at the one lambda, for each beta_u."""
-    lam = _only(spec, "lambdas")
+    lam = spec.only("lambdas")
     runs = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, b) for b in spec.betas], jobs)
     return TimeseriesResult(spec, "beta_u,step,rho_R,rho_A", spec.lambdas, spec.betas, runs)
 
@@ -287,7 +286,7 @@ def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1
     strategies, fractions = tuple(strategies), tuple(fractions)
     _check_axis("strategies", strategies)
     _check_axis("fractions", fractions)
-    lam, beta = _only(spec, "lambdas"), _only(spec, "betas")
+    lam, beta = spec.only("lambdas"), spec.only("betas")
     cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s in strategies for f in fractions]
     runs = _run_grid(spec, _KIND_SWEEP, cells, jobs)
     return GridResult(spec, "strategy,fraction,mean_rho_r,std_rho_r", strategies, fractions, runs)

@@ -8,13 +8,20 @@ from pathlib import Path
 import pytest
 
 from muxepi import ConfigError, read_edge_list
-from muxepi.cli import _KEYS, main, parse_config
+from muxepi.cli import _KEYS, _experiment_spec, main, parse_config
 
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def readme_config(tmp_path, subcommand):
+    """README's `ini` example, resolved for `subcommand` as `--config` would resolve it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return parse_config(write_config(tmp_path, text), subcommand=subcommand)
 
 
 SMALL = (
@@ -60,6 +67,41 @@ class TestParseConfig:
             assert [float(x) for x in found] == expected, row
             checked.update(keys)
         assert checked == {k for k, (_, d) in _KEYS.items() if numbers(d)}
+
+    def test_readme_example_heatmap(self, tmp_path):
+        config = readme_config(tmp_path, "heatmap")
+        spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert spec.lambdas == spec.betas == grid
+        assert (spec.replications, spec.n, spec.master_seed) == (10, 10000, 42)
+
+    def test_readme_example_sweep(self, tmp_path):
+        config = readme_config(tmp_path, "sweep")
+        spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
+        assert (spec.lambdas, spec.betas) == ((0.3,), (0.2,))
+        assert spec.gamma == 0.08 / 0.2
+        assert config.get("strategies") == ("degree_top", "random", "degree_bottom")
+        assert config.get("fractions") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+    @pytest.mark.parametrize(
+        "text, sets, axis, expected",
+        [
+            ("", {"lambdas": "0.2", "lambda": "0.4"}, "lambdas", (0.4,)),
+            ("", {"lambda": "0.4", "lambdas": "0.2,0.3"}, "lambdas", (0.2, 0.3)),
+            ("", {"betas": "0.2,0.5", "beta_u": "0.1"}, "betas", (0.1,)),
+            ("lambdas = 0.2\n[sweep]\nlambda = 0.4\n", {}, "lambdas", (0.4,)),
+            ("lambda = 0.4\n[sweep]\nlambdas = 0.2\n", {}, "lambdas", (0.2,)),
+            ("beta_u = 0.3\nbetas = 0.1\n", {}, "betas", (0.1,)),
+            ("lambda = 0.3\n", {"beta_u": "0.1"}, "lambdas", (0.3,)),
+        ],
+        ids=["set_lambda_after_lambdas", "set_lambdas_after_lambda", "set_beta_u_after_betas",
+             "section_lambda_beats_common_lambdas", "section_lambdas_beats_common_lambda",
+             "later_line_wins", "common_lambda"],
+    )
+    def test_one_value_key_is_its_axis(self, text, sets, axis, expected, tmp_path):
+        config = parse_config(write_config(tmp_path, text), overrides=sets, subcommand="sweep")
+        assert config.get(axis) == expected
+        assert "lambda" not in config.values and "beta_u" not in config.values
 
     @pytest.mark.parametrize(
         "text, sets, mu",
@@ -230,6 +272,14 @@ class TestMainErrors:
              "--set strategies: unknown strategies entry 'bogus'"),
             (["threshold", "--config", "section_subcommand.cfg"],
              "section_subcommand.cfg:3: key 'subcommand'"),
+            (["timeseries", "--set", "lambdas=0.2,0.9", "--set", "replications=1"],
+             "lambdas must hold one entry"),
+            (["sweep", "--set", "betas=0.2,0.4", "--set", "replications=1"],
+             "betas must hold one entry"),
+            (["mmca", "--set", "lambdas=0.2,0.9"], "lambdas must hold one entry"),
+            (["threshold", "--set", "lambdas=0.2,0.9"], "lambdas must hold one entry"),
+            (["threshold", "--set", "gamma=0.3", "--set", "beta_a=0.1", "--set", "beta_u=0.4"],
+             "gamma and beta_a are both given"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -240,7 +290,9 @@ class TestMainErrors:
              "list_entry_out_of_range", "unknown_choice", "zero_max_steps", "negative_omega_count",
              "zero_ba_m", "zero_ws_k", "edge_header_not_a_number", "edge_header_negative",
              "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii",
-             "unknown_strategy_entry", "subcommand_in_section"],
+             "unknown_strategy_entry", "subcommand_in_section", "timeseries_second_lambda",
+             "sweep_second_beta", "mmca_second_lambda", "threshold_second_lambda",
+             "gamma_with_beta_a"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -259,6 +311,27 @@ class TestMainErrors:
         rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["heatmap", "timeseries", "sweep"])
+    @pytest.mark.parametrize(
+        "keys",
+        [("awareness_edges", "contact_edges"), ("awareness_edges",), ("contact_edges",)],
+        ids=["both", "awareness_alone", "contact_alone"],
+    )
+    def test_experiments_reject_edge_files(self, subcommand, keys, tmp_path, capsys):
+        # Each replication builds its own multiplex, so an edge file would go unread.
+        edges = tmp_path / "ring.edges"
+        edges.write_text("# nodes=60\n0 1\n1 2\n")
+        argv = [subcommand, "--out", str(tmp_path), "--jobs", "1", "--set", "n=60",
+                "--set", "replications=1", "--set", "lambdas=0.5", "--set", "betas=0.2",
+                "--set", "fractions=0.1"]
+        for key in keys:
+            argv += ["--set", f"{key}={edges}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{subcommand} builds its own multiplexes" in err
+        assert all(key in err for key in keys)
         assert not (tmp_path / "manifest.json").exists()
 
     def test_edgeless_contact_layer_has_no_threshold(self, tmp_path, capsys):
@@ -292,6 +365,38 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert "config error: beta_a" in err and message in err
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestRateAxes:
+    """lambda and beta_u are the one-value spellings of lambdas and betas."""
+
+    def run(self, subcommand, items, out):
+        argv = [subcommand, "--out", str(out), "--jobs", "1", "--set", "n=60",
+                "--set", "replications=1"]
+        for item in items + (["fractions=0.1"] if subcommand == "sweep" else []):
+            argv += ["--set", item]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["config"], {f: (out / f).read_bytes() for f in manifest["outputs"]}
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "timeseries", "mmca", "threshold"])
+    @pytest.mark.parametrize(
+        "one, axis", [("lambda=0.3", "lambdas=0.3"), ("beta_u=0.1", "betas=0.1")],
+        ids=["lambda", "beta_u"],
+    )
+    def test_spellings_give_the_same_bytes(self, subcommand, one, axis, tmp_path):
+        config, outputs = self.run(subcommand, [one], tmp_path / "one")
+        assert (config, outputs) == self.run(subcommand, [axis], tmp_path / "axis")
+        assert one.split("=")[0] not in config
+
+    def test_heatmap_one_value_keys_run_one_cell(self, tmp_path):
+        self.run("heatmap", ["lambda=0.3", "beta_u=0.1"], tmp_path)
+        lines = (tmp_path / "heatmap.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[2:]] == [["0.3", "0.1"]]
+
+    def test_repeated_set_keeps_the_last_value_across_spellings(self, tmp_path):
+        config, _ = self.run("sweep", ["lambdas=0.2", "lambda=0.4", "lambdas=0.3"], tmp_path)
+        assert config["lambdas"] == [0.3] and "lambda" not in config
 
 
 class TestGenerate:
