@@ -36,37 +36,39 @@ from .selection import STRATEGIES, OmegaSpec, write_omega_set
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 _SPEC = ExperimentSpec()  # the model's defaults, each written once, in experiments.py
 
-# key -> (kind, default). A kind is a tag, or the tuple of allowed strings.
-# A None default leaves the key unset unless given: seed and out fall back in
-# parse_config, omega_count in its subcommand; lambda and beta_u are never stored.
+# key -> (domain, default). A domain is "path", a tuple of allowed strings,
+# (type, low, high) with inclusive bounds (None: unbounded), or [d]: comma-separated
+# entries each in d. A None default leaves the key unset unless given: seed and out fall
+# back in parse_config, omega_count in its subcommand; lambda and beta_u are never stored.
+_RATE = (float, 0.0, 1.0)
 _KEYS = {
     "subcommand": (SUBCOMMANDS, None),
-    "seed": ("int", None),
-    "out": ("str", None),
-    "n": ("int", _SPEC.n),
-    "ba_m": ("int", _SPEC.ba_m),
-    "ws_k": ("int", _SPEC.ws_k),
-    "ws_p": ("rate", _SPEC.ws_p),
-    "awareness_edges": ("str", None),
-    "contact_edges": ("str", None),
-    "lambda": ("rate", None),
-    "beta_u": ("rate", None),
-    "beta_a": ("rate", None),
-    "gamma": ("rate", _SPEC.gamma),
-    "delta": ("rate", _SPEC.delta),
-    "mu": ("rate", _SPEC.mu),
-    "initial_infected_fraction": ("float", _SPEC.initial_infected_fraction),
-    "max_steps": ("int", _SPEC.max_steps),
-    "tol": ("float", DEFAULT_TOL),
+    "seed": ((int, 0, None), None),
+    "out": ("path", None),
+    "n": ((int, 1, None), _SPEC.n),
+    "ba_m": ((int, 1, None), _SPEC.ba_m),
+    "ws_k": ((int, 2, None), _SPEC.ws_k),
+    "ws_p": (_RATE, _SPEC.ws_p),
+    "awareness_edges": ("path", None),
+    "contact_edges": ("path", None),
+    "lambda": (_RATE, None),
+    "beta_u": (_RATE, None),
+    "beta_a": (_RATE, None),
+    "gamma": (_RATE, _SPEC.gamma),
+    "delta": (_RATE, _SPEC.delta),
+    "mu": (_RATE, _SPEC.mu),
+    "initial_infected_fraction": (_RATE, _SPEC.initial_infected_fraction),
+    "max_steps": ((int, 1, None), _SPEC.max_steps),
+    "tol": (_RATE, DEFAULT_TOL),
     "omega_strategy": (STRATEGIES, _SPEC.omega.strategy),
-    "omega_count": ("int", None),
-    "omega_fraction": ("float", None),
-    "lambdas": ("rates", _SPEC.lambdas),
-    "betas": ("rates", _SPEC.betas),
-    "strategies": ("names", ("degree_top", "random", "degree_bottom")),
-    "fractions": ("rates", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-    "replications": ("int", _SPEC.replications),
-    "tail_window": ("int", _SPEC.tail_window),
+    "omega_count": ((int, 0, None), None),
+    "omega_fraction": (_RATE, None),
+    "lambdas": ([_RATE], _SPEC.lambdas),
+    "betas": ([_RATE], _SPEC.betas),
+    "strategies": ([STRATEGIES], ("degree_top", "random", "degree_bottom")),
+    "fractions": ([_RATE], (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+    "replications": ((int, 1, None), _SPEC.replications),
+    "tail_window": ((int, 0, None), _SPEC.tail_window),
 }
 # The one-value spelling of each rate axis: _parse_value stores lambda=x as lambdas=(x,).
 _AXES = {"lambda": "lambdas", "beta_u": "betas"}
@@ -87,34 +89,35 @@ class RunConfig:
         return self.values.get(key, _KEYS[key][1])
 
 
+def _check(key: str, raw: str, domain, where: str, label: str):
+    """`raw` read into `domain`; a value outside it raises a ConfigError naming `label`."""
+    if isinstance(domain, list):
+        entries = (p.strip() for p in raw.split(","))
+        return tuple(_check(key, p, domain[0], where, f"{key} entry") for p in entries if p)
+    if domain == "path":
+        if "\0" in raw:
+            raise ConfigError(f"{where}: {label} holds a NUL character")
+        return raw
+    if isinstance(domain[0], str):
+        if raw not in domain:
+            raise ConfigError(f"{where}: unknown {label} {raw!r}; choose from {domain}")
+        return raw
+    kind, low, high = domain
+    try:
+        value = kind(raw) + 0  # + 0 turns -0.0 into 0.0, so both spellings store the same bytes
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from exc
+    if high is None and not value >= low:
+        raise ConfigError(f"{where}: {label} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"{where}: {label} {value} outside range [{low}, {high}]")
+    return value
+
+
 def _parse_value(key: str, raw: str, where: str):
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    kind = _KEYS[key][0]
-    try:
-        if kind in ("rate", "float"):
-            value = float(raw)
-        elif kind == "int":
-            value = int(raw)
-        elif kind in ("rates", "names"):
-            items = tuple(p.strip() for p in raw.split(",") if p.strip())
-            value = items if kind == "names" else tuple(float(p) for p in items)
-        else:
-            value = raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from exc
-    if kind == "rate" and not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{where}: {key}={value} outside range [0,1]")
-    if kind == "rates":
-        for v in value:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{where}: {key} entry {v} outside range [0,1]")
-    if kind == "names":
-        for v in value:
-            if v not in STRATEGIES:
-                raise ConfigError(f"{where}: unknown {key} entry {v!r}; choose from {STRATEGIES}")
-    if isinstance(kind, tuple) and value not in kind:
-        raise ConfigError(f"{where}: unknown {key} {value!r}")
+    value = _check(key, raw.strip(), _KEYS[key][0], where, key)
     return (_AXES[key], (value,)) if key in _AXES else (key, value)
 
 
@@ -170,20 +173,17 @@ def parse_config(
         raise ConfigError(f"unknown subcommand {sub!r}" if sub else hint)
     # What the file and --set gave, which the manifest records; the flags win over it.
     values = {**sections["common"], **sections.get(sub, {}), **sets, "subcommand": sub}
-    flags = {"out": out_dir, "seed": seed}
-    merged = {**values, **{k: v for k, v in flags.items() if v is not None}}
-    name, seed = "seed", merged.get("seed")
+    seed = _parse_value("seed", str(seed), "--seed")[1] if seed is not None else values.get("seed")
     if seed is None:
-        name, seed = "MUXEPI_SEED", os.environ.get("MUXEPI_SEED") or "0"
-    if not str(seed).strip().isdecimal():
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+        seed = _parse_value("seed", os.environ.get("MUXEPI_SEED") or "0", "MUXEPI_SEED")[1]
+    out = out_dir if out_dir is not None else values.get("out")
     edges = [k for k in ("awareness_edges", "contact_edges") if k in values]
     if edges and sub in ("heatmap", "timeseries", "sweep"):
         raise ConfigError(f"{sub} builds its own multiplexes and reads no {' or '.join(edges)}")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    return RunConfig(sub, merged.get("out") or ".", int(seed), jobs, values)
+    return RunConfig(sub, out or ".", seed, jobs, values)
 
 
 def _gamma(config: RunConfig, betas) -> float:
@@ -325,7 +325,10 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.out_dir}: {exc.strerror}") from exc
     started = time.monotonic()
     outputs = []
 

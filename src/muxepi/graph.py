@@ -350,6 +350,8 @@ def read_edge_list(path) -> Graph:
         return _read_edge_text(path)
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{path}: not ASCII text") from exc
+    except OSError as exc:
+        raise InvalidArgumentError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
 def _read_edge_text(path) -> Graph:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from muxepi import ConfigError, read_edge_list
-from muxepi.cli import _KEYS, _experiment_spec, main, parse_config
+from muxepi.cli import _KEYS, SUBCOMMANDS, _experiment_spec, main, parse_config
+from muxepi.selection import STRATEGIES
+
+ROOT = Path(__file__).parents[1]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -67,6 +71,31 @@ class TestParseConfig:
             assert [float(x) for x in found] == expected, row
             checked.update(keys)
         assert checked == {k for k, (_, d) in _KEYS.items() if numbers(d)}
+
+    def test_readme_key_table_states_each_domain(self):
+        # Each kind cell lists, comma-separated, the domain its keys declare in _KEYS.
+        def stated(domain):
+            if isinstance(domain, list):
+                return stated(domain[0]) + "s"
+            if domain in ("path", SUBCOMMANDS, STRATEGIES):
+                names = {"path": "path", SUBCOMMANDS: "one of the subcommands"}
+                return names.get(domain, "strategy name")
+            kind, low, high = domain
+            if kind is float:
+                assert (low, high) == (0.0, 1.0)  # what the README calls a rate
+                return "rate"
+            assert kind is int and high is None
+            return f"int ≥ {low}"
+
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
+        checked = []
+        for row in (r for r in table.splitlines() if r.startswith("| `")):
+            cells = row.split("|")
+            for key in re.findall(r"`(\w+)`", cells[1]):
+                assert stated(_KEYS[key][0]) in cells[2].strip().split(", "), row
+                checked.append(key)
+        assert sorted(checked) == sorted(_KEYS)
 
     def test_readme_example_heatmap(self, tmp_path):
         config = readme_config(tmp_path, "heatmap")
@@ -280,6 +309,22 @@ class TestMainErrors:
             (["threshold", "--set", "lambdas=0.2,0.9"], "lambdas must hold one entry"),
             (["threshold", "--set", "gamma=0.3", "--set", "beta_a=0.1", "--set", "beta_u=0.4"],
              "gamma and beta_a are both given"),
+            (["threshold", "--set", "awareness_edges=nope.edges", "--set", "contact_edges=ring.edges"],
+             "nope.edges: cannot read: No such file"),
+            (["threshold", "--set", "awareness_edges=ring.edges", "--set", "contact_edges=dir.edges"],
+             "dir.edges: cannot read: Is a directory"),
+            (["generate", "--set", "awareness_edges=ring.edges", "--set", "contact_edges=nope.edges"],
+             "nope.edges: cannot read"),
+            (["generate", "--set", "ba_m=0"], "--set ba_m: ba_m must be >= 1, got 0"),
+            (["generate", "--set", "ws_k=0"], "--set ws_k: ws_k must be >= 2, got 0"),
+            (["threshold", "--set", "omega_count=-1"], "omega_count must be >= 0, got -1"),
+            (["generate", "--set", "replications=0"], "replications must be >= 1, got 0"),
+            (["generate", "--set", "tail_window=-1"], "tail_window must be >= 0, got -1"),
+            (["generate", "--set", "max_steps=0"], "max_steps must be >= 1, got 0"),
+            (["generate", "--set", "omega_fraction=1.5"], "omega_fraction 1.5 outside range"),
+            (["generate", "--set", "initial_infected_fraction=nan"],
+             "initial_infected_fraction nan outside range"),
+            (["generate", "--config", "nul.cfg"], "nul.cfg:1: contact_edges holds a NUL character"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -292,7 +337,12 @@ class TestMainErrors:
              "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii",
              "unknown_strategy_entry", "subcommand_in_section", "timeseries_second_lambda",
              "sweep_second_beta", "mmca_second_lambda", "threshold_second_lambda",
-             "gamma_with_beta_a"],
+             "gamma_with_beta_a", "missing_edge_file", "edge_file_is_a_directory",
+             "generate_missing_edge_file", "zero_ba_m_names_key", "zero_ws_k_names_key",
+             "negative_omega_count_names_key", "generate_zero_replications",
+             "generate_negative_tail_window", "generate_zero_max_steps",
+             "generate_omega_fraction_above_one", "generate_nan_initial_infected_fraction",
+             "nul_in_path"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -301,7 +351,9 @@ class TestMainErrors:
         (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nn = 60\n")
         (tmp_path / "noequals.cfg").write_text("n = 60\nmu 0.1\n")
         (tmp_path / "section_subcommand.cfg").write_text("[threshold]\nmu = 0.2\nsubcommand = mmca\n")
+        (tmp_path / "nul.cfg").write_text("contact_edges = a\0b\n")
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "dir.edges").mkdir()
         (tmp_path / "abc.edges").write_text("# nodes=abc\n0 1\n")
         (tmp_path / "minus.edges").write_text("# nodes=-3\n")
         (tmp_path / "huge.edges").write_text("# nodes=3\n0 99999999999999999999\n")
@@ -312,6 +364,12 @@ class TestMainErrors:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_uncreatable_out_dir_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "file" / "out"
+        (tmp_path / "file").write_text("a regular file\n")
+        assert main(["generate", "--out", str(out), "--set", "n=60"]) == 2
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["heatmap", "timeseries", "sweep"])
     @pytest.mark.parametrize(
@@ -397,6 +455,25 @@ class TestRateAxes:
     def test_repeated_set_keeps_the_last_value_across_spellings(self, tmp_path):
         config, _ = self.run("sweep", ["lambdas=0.2", "lambda=0.4", "lambdas=0.3"], tmp_path)
         assert config["lambdas"] == [0.3] and "lambda" not in config
+
+    def test_negative_zero_gives_the_bytes_of_zero(self, tmp_path):
+        minus, plus = (self.run("threshold", [f"lambda={v}"], tmp_path / v) for v in ("-0", "0"))
+        assert repr(minus) == repr(plus)  # repr tells -0.0 from 0.0, which == does not
+
+
+class TestBenchmarkInvocations:
+    def test_every_invocation_parses(self, monkeypatch):
+        # A domain that rejected a benchmark setting would turn its run into an exit 2.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS.values():
+            setup_dirs = {inv.name: "setup-dir" for inv in workload.setup}
+            for inv in workload.setup + workload.operation:
+                settings = workloads.resolve(inv, setup_dirs)
+                overrides = dict(item.split("=", 1) for item in settings)
+                assert len(overrides) == len(settings) and "{setup" not in str(settings)
+                config = parse_config(overrides=overrides, subcommand=inv.subcommand, seed=1, jobs=1)
+                assert (config.subcommand, config.seed) == (inv.subcommand, 1)
 
 
 class TestGenerate:
