@@ -72,9 +72,6 @@ _KEYS = {
 }
 # The one-value spelling of each rate axis: _parse_value stores lambda=x as lambdas=(x,).
 _AXES = {"lambda": "lambdas", "beta_u": "betas"}
-# The keys that name ExperimentSpec fields; the first four build the multiplex.
-_SPEC_KEYS = ("n", "ba_m", "ws_k", "ws_p", "delta", "mu", "initial_infected_fraction",
-              "replications", "max_steps", "tail_window")
 
 
 @dataclass
@@ -97,6 +94,8 @@ def _check(key: str, raw: str, domain, where: str, label: str):
     if domain == "path":
         if "\0" in raw:
             raise ConfigError(f"{where}: {label} holds a NUL character")
+        if not raw:
+            raise ConfigError(f"{where}: {label} is empty")
         return raw
     if isinstance(domain[0], str):
         if raw not in domain:
@@ -112,6 +111,11 @@ def _check(key: str, raw: str, domain, where: str, label: str):
     if high is not None and not low <= value <= high:
         raise ConfigError(f"{where}: {label} {value} outside range [{low}, {high}]")
     return value
+
+
+def _reads(sub: str, key: str) -> bool:
+    """Whether `sub` reads `key`; lambda and beta_u follow their axes."""
+    return key in ("subcommand", "seed", "out") or _AXES.get(key, key) in _COMMANDS[sub][1]
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -147,6 +151,8 @@ def _read_config_file(path: str) -> dict:
         if key == "subcommand" and current != "common":
             raise ConfigError(f"{path}:{lineno}: key 'subcommand' belongs in the common block")
         sections[current].update([_parse_value(key, raw.strip(), f"{path}:{lineno}")])
+        if current != "common" and not _reads(current, key):
+            raise ConfigError(f"{path}:{lineno}: {current} reads no {key}")
     return sections
 
 
@@ -161,9 +167,10 @@ def parse_config(
     """Merge the config file, --set overrides and flags into a validated RunConfig.
 
     The subcommand is the argument, else --set's, else the common block's.
-    Every key then takes the last value of, lowest first: the common block,
-    that subcommand's section, --set, the flags. A seed given nowhere falls
-    back to MUXEPI_SEED, then 0.
+    Every key it reads then takes the last value of, lowest first: the common
+    block, that subcommand's section, --set, the flags; the common block's other
+    keys are skipped, and a section or --set that holds one exits 2. A seed
+    given nowhere falls back to MUXEPI_SEED, then 0.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -171,15 +178,16 @@ def parse_config(
     if sub not in SUBCOMMANDS:
         hint = "no subcommand given (command line, --set or config 'subcommand' key)"
         raise ConfigError(f"unknown subcommand {sub!r}" if sub else hint)
-    # What the file and --set gave, which the manifest records; the flags win over it.
-    values = {**sections["common"], **sections.get(sub, {}), **sets, "subcommand": sub}
+    unread = [key for key in overrides or {} if not _reads(sub, key)]
+    if unread:
+        raise ConfigError(f"--set {unread[0]}: {sub} reads no {unread[0]}")
+    # The file's and --set's values of the keys sub reads, for the manifest; the flags win.
+    common = {k: v for k, v in sections["common"].items() if _reads(sub, k)}
+    values = {**common, **sections.get(sub, {}), **sets, "subcommand": sub}
     seed = _parse_value("seed", str(seed), "--seed")[1] if seed is not None else values.get("seed")
     if seed is None:
         seed = _parse_value("seed", os.environ.get("MUXEPI_SEED") or "0", "MUXEPI_SEED")[1]
     out = out_dir if out_dir is not None else values.get("out")
-    edges = [k for k in ("awareness_edges", "contact_edges") if k in values]
-    if edges and sub in ("heatmap", "timeseries", "sweep"):
-        raise ConfigError(f"{sub} builds its own multiplexes and reads no {' or '.join(edges)}")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -210,24 +218,22 @@ def _networks(config: RunConfig):
     if aw_path or ct_path:
         missing = "contact_edges" if aw_path else "awareness_edges"
         raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
-    return replication_multiplex(*(config.get(k) for k in _SPEC_KEYS[:4]), config.seed)
+    return replication_multiplex(*(config.get(k) for k in _NET), config.seed)
 
 
 def _experiment_spec(config: RunConfig, lambdas, betas, default_count=_SPEC.omega.count):
-    """The spec of the run; its silenced set has `default_count` nodes unless sized by a key."""
-    count = config.values.get("omega_count")
-    fraction = config.values.get("omega_fraction")
-    if count is None and fraction is None:
-        count = default_count
-    omega = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction)
-    return ExperimentSpec(
-        lambdas=tuple(lambdas),
-        betas=tuple(betas),
-        gamma=_gamma(config, betas),
-        omega=omega,
-        master_seed=config.seed,
-        **{k: config.get(k) for k in _SPEC_KEYS},
-    )
+    """The run's spec from the keys its subcommand reads, other fields at their defaults."""
+    reads = _COMMANDS[config.subcommand][1]
+    fields = {k: config.get(k) for k in reads if k in ExperimentSpec.__dataclass_fields__}
+    if "omega_strategy" in reads:
+        count, fraction = (config.values.get(k) for k in ("omega_count", "omega_fraction"))
+        if count is not None and fraction is not None:
+            raise ConfigError("omega_count and omega_fraction are both given; give one")
+        if count is None and fraction is None:
+            count = default_count
+        fields["omega"] = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction)
+    fields.update(lambdas=tuple(lambdas), betas=tuple(betas), gamma=_gamma(config, betas))
+    return ExperimentSpec(master_seed=config.seed, **fields)
 
 
 def _write_manifest(config: RunConfig, outputs, extra, wall_time):
@@ -313,13 +319,19 @@ def _sweep(config: RunConfig, out) -> dict:
     return _experiment_outputs(result, out("sweep.csv"))
 
 
-_RUNNERS = {
-    "generate": _generate,
-    "threshold": _threshold,
-    "mmca": _mmca,
-    "heatmap": _heatmap,
-    "timeseries": _timeseries,
-    "sweep": _sweep,
+# subcommand -> (runner, the keys it reads besides seed and out), from shared key groups.
+_NET, _EDGES = ("n", "ba_m", "ws_k", "ws_p"), ("awareness_edges", "contact_edges")
+_RATES = ("lambdas", "betas", "beta_a", "gamma", "delta", "mu")
+_OMEGA = ("omega_strategy", "omega_count", "omega_fraction")
+_RUN = _NET + _RATES + ("initial_infected_fraction", "max_steps", "replications")
+_SOLVE = _NET + _EDGES + _RATES + _OMEGA + ("tol",)
+_COMMANDS = {
+    "generate": (_generate, _NET + _EDGES),
+    "threshold": (_threshold, _SOLVE),
+    "mmca": (_mmca, _SOLVE + ("initial_infected_fraction",)),
+    "heatmap": (_heatmap, _RUN + _OMEGA),
+    "timeseries": (_timeseries, _RUN + _OMEGA + ("tail_window",)),
+    "sweep": (_sweep, _RUN + ("strategies", "fractions")),
 }
 
 
@@ -336,7 +348,7 @@ def run(config: RunConfig) -> int:
         outputs.append(name)
         return os.path.join(config.out_dir, name)
 
-    extra = _RUNNERS[config.subcommand](config, out)
+    extra = _COMMANDS[config.subcommand][0](config, out)
     status = 1 if extra.get("non_absorbed_runs") else 0
     extra["status"] = "ok" if status == 0 else "partial"
     _write_manifest(config, outputs, extra, round(time.monotonic() - started, 3))

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from muxepi import ConfigError, read_edge_list
-from muxepi.cli import _KEYS, SUBCOMMANDS, _experiment_spec, main, parse_config
+from muxepi import ConfigError, cli, read_edge_list
+from muxepi.cli import _AXES, _COMMANDS, _KEYS, SUBCOMMANDS, _experiment_spec, main, parse_config
 from muxepi.selection import STRATEGIES
 
 ROOT = Path(__file__).parents[1]
@@ -156,6 +156,7 @@ class TestParseConfig:
         flag = parse_config(path, overrides=sets, subcommand="threshold", out_dir="flag")
         assert flag.out_dir == "flag" and flag.values["out"] == "set"
         assert parse_config(subcommand="threshold").out_dir == "."
+        assert parse_config(subcommand="threshold", out_dir="").out_dir == "."
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         path = write_config(tmp_path, "\n# a comment\n; another\n   \nn = 60\n")
@@ -325,6 +326,15 @@ class TestMainErrors:
             (["generate", "--set", "initial_infected_fraction=nan"],
              "initial_infected_fraction nan outside range"),
             (["generate", "--config", "nul.cfg"], "nul.cfg:1: contact_edges holds a NUL character"),
+            (["threshold", "--set", "awareness_edges="], "--set awareness_edges: awareness_edges is empty"),
+            (["mmca", "--set", "contact_edges= "], "--set contact_edges: contact_edges is empty"),
+            (["generate", "--set", "out="], "--set out: out is empty"),
+            (["heatmap", "--config", "empty_out.cfg"], "empty_out.cfg:1: out is empty"),
+            (["threshold", "--set", "omega_count=3", "--set", "omega_fraction=0.1"],
+             "omega_count and omega_fraction are both given"),
+            (["heatmap", "--set", "omega_fraction=0.1", "--set", "omega_count=3",
+              "--set", "lambdas=0.5", "--set", "betas=0.2"],
+             "omega_count and omega_fraction are both given"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -342,7 +352,8 @@ class TestMainErrors:
              "negative_omega_count_names_key", "generate_zero_replications",
              "generate_negative_tail_window", "generate_zero_max_steps",
              "generate_omega_fraction_above_one", "generate_nan_initial_infected_fraction",
-             "nul_in_path"],
+             "nul_in_path", "empty_awareness_edges", "empty_contact_edges", "empty_set_out",
+             "empty_config_out", "omega_count_with_fraction", "heatmap_omega_fraction_with_count"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -352,6 +363,7 @@ class TestMainErrors:
         (tmp_path / "noequals.cfg").write_text("n = 60\nmu 0.1\n")
         (tmp_path / "section_subcommand.cfg").write_text("[threshold]\nmu = 0.2\nsubcommand = mmca\n")
         (tmp_path / "nul.cfg").write_text("contact_edges = a\0b\n")
+        (tmp_path / "empty_out.cfg").write_text("out =\n")
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
         (tmp_path / "dir.edges").mkdir()
         (tmp_path / "abc.edges").write_text("# nodes=abc\n0 1\n")
@@ -382,14 +394,12 @@ class TestMainErrors:
         edges = tmp_path / "ring.edges"
         edges.write_text("# nodes=60\n0 1\n1 2\n")
         argv = [subcommand, "--out", str(tmp_path), "--jobs", "1", "--set", "n=60",
-                "--set", "replications=1", "--set", "lambdas=0.5", "--set", "betas=0.2",
-                "--set", "fractions=0.1"]
+                "--set", "replications=1", "--set", "lambdas=0.5", "--set", "betas=0.2"]
+        argv += ["--set", "fractions=0.1"] if subcommand == "sweep" else []
         for key in keys:
             argv += ["--set", f"{key}={edges}"]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"{subcommand} builds its own multiplexes" in err
-        assert all(key in err for key in keys)
+        assert f"--set {keys[0]}: {subcommand} reads no {keys[0]}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_edgeless_contact_layer_has_no_threshold(self, tmp_path, capsys):
@@ -429,8 +439,9 @@ class TestRateAxes:
     """lambda and beta_u are the one-value spellings of lambdas and betas."""
 
     def run(self, subcommand, items, out):
-        argv = [subcommand, "--out", str(out), "--jobs", "1", "--set", "n=60",
-                "--set", "replications=1"]
+        argv = [subcommand, "--out", str(out), "--jobs", "1", "--set", "n=60"]
+        if subcommand not in ("threshold", "mmca"):
+            items = ["replications=1"] + items
         for item in items + (["fractions=0.1"] if subcommand == "sweep" else []):
             argv += ["--set", item]
         assert main(argv) == 0
@@ -459,6 +470,95 @@ class TestRateAxes:
     def test_negative_zero_gives_the_bytes_of_zero(self, tmp_path):
         minus, plus = (self.run("threshold", [f"lambda={v}"], tmp_path / v) for v in ("-0", "0"))
         assert repr(minus) == repr(plus)  # repr tells -0.0 from 0.0, which == does not
+
+
+# An in-domain value for each key, as --set spells it.
+_SAMPLES = {"path": "x.edges", STRATEGIES: "degree_top", (int, 0, None): "0", (int, 1, None): "1",
+            (int, 2, None): "2", (float, 0.0, 1.0): "0.5"}
+
+
+def sample(domain):
+    return sample(domain[0]) if isinstance(domain, list) else _SAMPLES[domain]
+
+
+_SETTABLE = sorted(set(_KEYS) - {"subcommand", "seed", "out"})
+
+
+class TestReadSets:
+    """Each subcommand takes only the keys `_COMMANDS` declares for it."""
+
+    @pytest.mark.parametrize("key", _SETTABLE)
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_key_is_read_or_rejected(self, subcommand, key, tmp_path):
+        declared = _AXES.get(key, key) in _COMMANDS[subcommand][1]
+        value = sample(_KEYS[key][0])
+        common = write_config(tmp_path, f"{key} = {value}\n", "common.cfg")
+        section = write_config(tmp_path, f"[{subcommand}]\n{key} = {value}\n", "section.cfg")
+        if declared:
+            for path, sets in ((None, {key: value}), (common, {}), (section, {})):
+                config = parse_config(path, overrides=sets, subcommand=subcommand)
+                assert _AXES.get(key, key) in config.values
+            return
+        with pytest.raises(ConfigError, match=f"^--set {key}: {subcommand} reads no {key}$"):
+            parse_config(overrides={key: value}, subcommand=subcommand)
+        with pytest.raises(ConfigError, match=f"section.cfg:2: {subcommand} reads no {key}$"):
+            parse_config(section, subcommand=subcommand)
+        # The common block is shared by every subcommand: each skips what it does not read.
+        assert parse_config(common, subcommand=subcommand).values == {"subcommand": subcommand}
+
+    def test_a_section_of_another_subcommand_is_checked_too(self, tmp_path):
+        path = write_config(tmp_path, "[sweep]\nomega_count = 3\n")
+        with pytest.raises(ConfigError, match="run.cfg:2: sweep reads no omega_count"):
+            parse_config(path, subcommand="heatmap")
+
+    @pytest.mark.parametrize(
+        "subcommand, items",
+        [
+            ("generate", []),
+            ("threshold", ["omega_count=3"]),
+            ("mmca", ["beta_u=0.3", "beta_a=0.1"]),
+            ("heatmap", ["replications=1", "lambdas=0.5", "betas=0.2"]),
+            ("timeseries", ["replications=1", "betas=0.2", "omega_fraction=0.1"]),
+            ("sweep", ["replications=1", "strategies=random", "fractions=0.1"]),
+        ],
+        ids=["generate", "threshold", "mmca", "heatmap", "timeseries", "sweep"],
+    )
+    def test_runners_look_up_only_declared_keys(self, subcommand, items, tmp_path, monkeypatch):
+        # A runner that reads a key the table does not name fails here until the table names it.
+        class Recorder(dict):
+            def get(self, key, default=None):
+                seen.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                seen.add(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                seen.add(key)
+                return super().__contains__(key)
+
+        def recording_run(config):
+            config.values = Recorder(config.values)
+            return run(config)
+
+        seen = set()
+        run = cli.run
+        monkeypatch.setattr(cli, "run", recording_run)
+        argv = [subcommand, "--out", str(tmp_path), "--jobs", "1", "--set", "n=60"]
+        for item in items:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert seen and seen <= set(_COMMANDS[subcommand][1]) | {"seed", "out"}
+
+    def test_readme_subcommand_table_lists_the_keys_read(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | output | reads |\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for row in (r for r in table.splitlines() if r.startswith("| `")):
+            cells = row.split("|")
+            rows[cells[1].strip().strip("`")] = sorted(re.findall(r"`(\w+)`", cells[3]))
+        assert rows == {sub: sorted(keys) for sub, (_, keys) in _COMMANDS.items()}
 
 
 class TestBenchmarkInvocations:

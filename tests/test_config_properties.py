@@ -1,6 +1,6 @@
 """Properties of the CLI over (key, raw value) pairs: a value outside its key's
-declared domain exits 2 with a message naming the key, and `main` returns 0, 1
-or 2 and never raises.
+declared domain, or a key the subcommand does not read, exits 2 with a message
+naming the key, and `main` returns 0, 1 or 2 and never raises.
 
 Most examples stop after `parse_config`. About one example in ten for
 `generate`, `heatmap`, `timeseries` or `sweep` runs end to end, at n = 60 with
@@ -32,8 +32,8 @@ _RAW = st.one_of(
     st.floats().map(repr),
 )
 _RUNNABLE = ("generate", "heatmap", "timeseries", "sweep")
-_BASE = ["n=60", "replications=1", "max_steps=200", "tail_window=5", "lambdas=0.5",
-         "betas=0.2", "strategies=random", "fractions=0.1"]
+_BASE = {"n": "60", "replications": "1", "max_steps": "200", "tail_window": "5",
+         "lambdas": "0.5", "betas": "0.2", "strategies": "random", "fractions": "0.1"}
 # Keys whose value sizes the run: an example that sets one above 60 stays parse-only.
 _SIZES = ("n", "max_steps", "replications", "tail_window")
 
@@ -43,7 +43,7 @@ def in_domain(domain, raw: str) -> bool:
     if isinstance(domain, list):
         return all(in_domain(domain[0], p.strip()) for p in raw.split(",") if p.strip())
     if domain == "path":
-        return "\x00" not in raw
+        return "\x00" not in raw and raw != ""
     if isinstance(domain[0], str):
         return raw in domain
     kind, low, high = domain
@@ -52,6 +52,12 @@ def in_domain(domain, raw: str) -> bool:
     except ValueError:
         return False
     return value >= low and (high is None or value <= high)
+
+
+def reads(subcommand: str, key: str) -> bool:
+    """Whether `subcommand` reads `key`, from the table of `cli._COMMANDS`."""
+    declared = cli._COMMANDS[subcommand][1] + ("subcommand", "seed", "out")
+    return cli._AXES.get(key, key) in declared
 
 
 def small(pairs) -> bool:
@@ -74,14 +80,19 @@ def small(pairs) -> bool:
                     subcommand="generate", draw=0)
 @hypothesis.example(pairs={"replications": "0"}, subcommand="generate", draw=0)
 @hypothesis.example(pairs={"lambdas": "nan", "ba_m": "0"}, subcommand="heatmap", draw=0)
+@hypothesis.example(pairs={"omega_count": "3"}, subcommand="sweep", draw=0)
+@hypothesis.example(pairs={"lambda": "0.3"}, subcommand="generate", draw=0)
+@hypothesis.example(pairs={"awareness_edges": ""}, subcommand="threshold", draw=0)
 def test_out_of_domain_value_exits_2_naming_the_key(pairs, subcommand, draw, tmp_path,
                                                      monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MUXEPI_SEED", raising=False)
     bad = [k for k, v in pairs.items() if not in_domain(cli._KEYS[k][0], v.strip())]
+    unread = [k for k in pairs if not reads(subcommand, k)]
     end_to_end = draw == 0 and subcommand in _RUNNABLE and small(pairs)
     argv = [subcommand, "--out", "out", "--jobs", "1"]
-    for item in _BASE + [f"{k}={v}" for k, v in pairs.items()]:
+    base = [f"{k}={v}" for k, v in _BASE.items() if reads(subcommand, k)]
+    for item in base + [f"{k}={v}" for k, v in pairs.items()]:
         argv += ["--set", item]
     err = io.StringIO()
     run = cli.run if end_to_end else (lambda config: 0)
@@ -91,3 +102,7 @@ def test_out_of_domain_value_exits_2_naming_the_key(pairs, subcommand, draw, tmp
     if bad:
         # main parses the --set pairs in order, so the first value outside its domain is named.
         assert status == 2 and f"--set {bad[0]}: " in err.getvalue(), err.getvalue()
+    elif unread:
+        # With every value in its domain, the first key the subcommand does not read is named.
+        assert status == 2, err.getvalue()
+        assert f"--set {unread[0]}: {subcommand} reads no {unread[0]}" in err.getvalue()

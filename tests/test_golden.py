@@ -13,19 +13,23 @@ import pytest
 
 from muxepi.cli import main
 
-SMALL = ["--seed", "11", "--jobs", "1", "--set", "n=300", "--set", "initial_infected_fraction=0.02"]
-EXPERIMENT = SMALL + ["--set", "replications=2", "--set", "omega_count=10"]
+# Each subcommand is given only keys it reads: generate and threshold start no
+# infection, and sweep sizes its silenced sets by its fractions.
+NET = ["--seed", "11", "--jobs", "1", "--set", "n=300"]
+SMALL = NET + ["--set", "initial_infected_fraction=0.02"]
+EXPERIMENT = SMALL + ["--set", "replications=2"]
+OMEGA = ["--set", "omega_count=10"]
 
 CASES = {
     "generate": (
-        ["generate"] + SMALL,
+        ["generate"] + NET,
         {
             "awareness.edges": "e2562f5b4cdf1d9473a6002affb963eabd03edd7f39c8eae164dbd10e493117f",
             "contact.edges": "ee6aef3706e5f70e7743bbfdd6cb3edb717045bdb170416dda9583e0f4c0b5f6",
         },
     ),
     "threshold": (
-        ["threshold"] + SMALL
+        ["threshold"] + NET
         + ["--set", "gamma=0.3",
            "--set", "omega_strategy=clustering_top", "--set", "omega_count=15"],
         {
@@ -44,13 +48,13 @@ CASES = {
         },
     ),
     "heatmap": (
-        ["heatmap"] + EXPERIMENT + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
+        ["heatmap"] + EXPERIMENT + OMEGA + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
         {
             "heatmap.csv": "2726ff023f6fe2a9fb6ca6432cdb964888c83fcc8b3dd6ea60e83dedfb2209ae",
         },
     ),
     "timeseries": (
-        ["timeseries"] + EXPERIMENT + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
+        ["timeseries"] + EXPERIMENT + OMEGA + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
         {
             "timeseries.csv": "9e62fba2bbe917d27058176ad0889912efef7b11b47f799767cb3754fd270a34",
         },
@@ -59,7 +63,7 @@ CASES = {
         ["sweep"] + EXPERIMENT
         + ["--set", "strategies=betweenness_top,clustering_top,random", "--set", "fractions=0.1"],
         {
-            "sweep.csv": "490a567a663ce7a6dbb12928e183384be25ec2c006068126dc2b2ee248ebe0ef",
+            "sweep.csv": "1324505ff662924606422db4d347f13d6f18d3589ca511e82273b06ae0e2b5af",
         },
     ),
 }
