@@ -36,39 +36,37 @@ from .selection import STRATEGIES, OmegaSpec, write_omega_set
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 _SPEC = ExperimentSpec()  # the model's defaults, each written once, in experiments.py
 
-# key -> (domain, default). A domain is "path", a tuple of allowed strings,
-# (type, low, high) with inclusive bounds (None: unbounded), or [d]: comma-separated
-# entries each in d. A None default leaves the key unset unless given: seed and out fall
-# back in parse_config, omega_count in its subcommand; lambda and beta_u are never stored.
+# key -> domain: "path", a tuple of allowed strings, (type, low, high) with inclusive
+# bounds (None: unbounded), or [d]: comma-separated entries each in d. The defaults are
+# each subcommand's, in _COMMANDS; lambda and beta_u are never stored.
 _RATE = (float, 0.0, 1.0)
 _KEYS = {
-    "subcommand": (SUBCOMMANDS, None),
-    "seed": ((int, 0, None), None),
-    "out": ("path", None),
-    "n": ((int, 1, None), _SPEC.n),
-    "ba_m": ((int, 1, None), _SPEC.ba_m),
-    "ws_k": ((int, 2, None), _SPEC.ws_k),
-    "ws_p": (_RATE, _SPEC.ws_p),
-    "awareness_edges": ("path", None),
-    "contact_edges": ("path", None),
-    "lambda": (_RATE, None),
-    "beta_u": (_RATE, None),
-    "beta_a": (_RATE, None),
-    "gamma": (_RATE, _SPEC.gamma),
-    "delta": (_RATE, _SPEC.delta),
-    "mu": (_RATE, _SPEC.mu),
-    "initial_infected_fraction": (_RATE, _SPEC.initial_infected_fraction),
-    "max_steps": ((int, 1, None), _SPEC.max_steps),
-    "tol": (_RATE, DEFAULT_TOL),
-    "omega_strategy": (STRATEGIES, _SPEC.omega.strategy),
-    "omega_count": ((int, 0, None), None),
-    "omega_fraction": (_RATE, None),
-    "lambdas": ([_RATE], _SPEC.lambdas),
-    "betas": ([_RATE], _SPEC.betas),
-    "strategies": ([STRATEGIES], ("degree_top", "random", "degree_bottom")),
-    "fractions": ([_RATE], (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
-    "replications": ((int, 1, None), _SPEC.replications),
-    "tail_window": ((int, 0, None), _SPEC.tail_window),
+    "subcommand": SUBCOMMANDS,
+    "seed": (int, 0, None),
+    "out": "path",
+    "n": (int, 1, None),
+    "ba_m": (int, 1, None),
+    "ws_k": (int, 2, None),
+    "ws_p": _RATE,
+    "awareness_edges": "path",
+    "contact_edges": "path",
+    "lambda": _RATE,
+    "beta_u": _RATE,
+    "gamma": _RATE,
+    "delta": _RATE,
+    "mu": _RATE,
+    "initial_infected_fraction": _RATE,
+    "max_steps": (int, 1, None),
+    "tol": _RATE,
+    "omega_strategy": STRATEGIES,
+    "omega_count": (int, 0, None),
+    "omega_fraction": _RATE,
+    "lambdas": [_RATE],
+    "betas": [_RATE],
+    "strategies": [STRATEGIES],
+    "fractions": [_RATE],
+    "replications": (int, 1, None),
+    "tail_window": (int, 0, None),
 }
 # The one-value spelling of each rate axis: _parse_value stores lambda=x as lambdas=(x,).
 _AXES = {"lambda": "lambdas", "beta_u": "betas"}
@@ -80,10 +78,10 @@ class RunConfig:
     out_dir: str
     seed: int
     jobs: int
-    values: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)  # the run's record: see parse_config
 
     def get(self, key):
-        return self.values.get(key, _KEYS[key][1])
+        return self.values.get(key)
 
 
 def _check(key: str, raw: str, domain, where: str, label: str):
@@ -121,12 +119,12 @@ def _reads(sub: str, key: str) -> bool:
 def _parse_value(key: str, raw: str, where: str):
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    value = _check(key, raw.strip(), _KEYS[key][0], where, key)
+    value = _check(key, raw.strip(), _KEYS[key], where, key)
     return (_AXES[key], (value,)) if key in _AXES else (key, value)
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse sectioned key-value text; returns {section: {key: (value, line)}}."""
+    """Parse sectioned key-value text; returns {section: {key: parsed value}}."""
     sections: dict = {"common": {}}
     current = "common"
     try:
@@ -167,10 +165,12 @@ def parse_config(
     """Merge the config file, --set overrides and flags into a validated RunConfig.
 
     The subcommand is the argument, else --set's, else the common block's.
-    Every key it reads then takes the last value of, lowest first: the common
-    block, that subcommand's section, --set, the flags; the common block's other
-    keys are skipped, and a section or --set that holds one exits 2. A seed
-    given nowhere falls back to MUXEPI_SEED, then 0.
+    Every key it reads then takes the last value of, lowest first: its default
+    in _COMMANDS, the common block, that subcommand's section, --set, the flags;
+    the common block's other keys are skipped, and a section or --set that holds
+    one exits 2. A seed given nowhere falls back to MUXEPI_SEED, then 0. The
+    run's record, `values`, holds each key of its _COMMANDS entry that is set,
+    and the seed, sorted; a given omega_fraction unsets omega_count's default.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -181,38 +181,26 @@ def parse_config(
     unread = [key for key in overrides or {} if not _reads(sub, key)]
     if unread:
         raise ConfigError(f"--set {unread[0]}: {sub} reads no {unread[0]}")
-    # The file's and --set's values of the keys sub reads, for the manifest; the flags win.
     common = {k: v for k, v in sections["common"].items() if _reads(sub, k)}
-    values = {**common, **sections.get(sub, {}), **sets, "subcommand": sub}
-    seed = _parse_value("seed", str(seed), "--seed")[1] if seed is not None else values.get("seed")
+    given = {**common, **sections.get(sub, {}), **sets}
+    seed = _parse_value("seed", str(seed), "--seed")[1] if seed is not None else given.get("seed")
     if seed is None:
         seed = _parse_value("seed", os.environ.get("MUXEPI_SEED") or "0", "MUXEPI_SEED")[1]
-    out = out_dir if out_dir is not None else values.get("out")
+    out = _parse_value("out", out_dir, "--out")[1] if out_dir is not None else given.get("out")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    return RunConfig(sub, out or ".", seed, jobs, values)
-
-
-def _gamma(config: RunConfig, betas) -> float:
-    """The gamma key, or beta_a / beta_u when beta_a is given with one beta_u."""
-    beta_a = config.values.get("beta_a")
-    if beta_a is None:
-        return config.get("gamma")
-    if "gamma" in config.values:
-        raise ConfigError("gamma and beta_a are both given; beta_a sets gamma = beta_a / beta_u")
-    if len(betas) != 1:
-        raise ConfigError(f"beta_a needs exactly one beta_u, got betas={tuple(betas)}")
-    if betas[0] == 0.0:
-        raise ConfigError("beta_a needs beta_u > 0")
-    if beta_a > betas[0]:
-        raise ConfigError(f"beta_a={beta_a} exceeds beta_u={betas[0]}")
-    return beta_a / betas[0]
+    defaults = dict(_COMMANDS[sub][1])
+    if "omega_fraction" in given:
+        if "omega_count" in given:
+            raise ConfigError("omega_count and omega_fraction are both given; give one")
+        defaults["omega_count"] = None
+    record = {k: given.get(k, default) for k, default in defaults.items()} | {"seed": seed}
+    values = {k: v for k, v in sorted(record.items()) if v is not None}
+    return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, values)
 
 
 def _networks(config: RunConfig):
-    aw_path = config.values.get("awareness_edges")
-    ct_path = config.values.get("contact_edges")
+    aw_path, ct_path = config.get("awareness_edges"), config.get("contact_edges")
     if aw_path and ct_path:
         return build_multiplex(read_edge_list(aw_path), read_edge_list(ct_path))
     if aw_path or ct_path:
@@ -221,18 +209,13 @@ def _networks(config: RunConfig):
     return replication_multiplex(*(config.get(k) for k in _NET), config.seed)
 
 
-def _experiment_spec(config: RunConfig, lambdas, betas, default_count=_SPEC.omega.count):
-    """The run's spec from the keys its subcommand reads, other fields at their defaults."""
-    reads = _COMMANDS[config.subcommand][1]
-    fields = {k: config.get(k) for k in reads if k in ExperimentSpec.__dataclass_fields__}
-    if "omega_strategy" in reads:
-        count, fraction = (config.values.get(k) for k in ("omega_count", "omega_fraction"))
-        if count is not None and fraction is not None:
-            raise ConfigError("omega_count and omega_fraction are both given; give one")
-        if count is None and fraction is None:
-            count = default_count
-        fields["omega"] = OmegaSpec(config.get("omega_strategy"), count=count, fraction=fraction)
-    fields.update(lambdas=tuple(lambdas), betas=tuple(betas), gamma=_gamma(config, betas))
+def _experiment_spec(config: RunConfig) -> ExperimentSpec:
+    """The run's spec from its record; the omega_* keys are its OmegaSpec's fields."""
+    fields = {k: v for k, v in config.values.items() if k in ExperimentSpec.__dataclass_fields__}
+    omega = {k.removeprefix("omega_"): v for k, v in config.values.items()
+             if k.startswith("omega_")}
+    if omega:
+        fields["omega"] = OmegaSpec(**omega)
     return ExperimentSpec(master_seed=config.seed, **fields)
 
 
@@ -242,7 +225,7 @@ def _write_manifest(config: RunConfig, outputs, extra, wall_time):
         "subcommand": config.subcommand,
         "master_seed": config.seed,
         "jobs": config.jobs,
-        "config": {k: v for k, v in sorted(config.values.items())},
+        "config": config.values,
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
@@ -267,7 +250,7 @@ def _generate(config: RunConfig, out) -> dict:
 
 def _mmca_inputs(config: RunConfig):
     """The multiplex, parameters and replication 0's silenced set of threshold and mmca."""
-    spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"), default_count=0)
+    spec = _experiment_spec(config)
     net = _networks(config)
     omega_set = replication_omega(spec.omega, net.awareness_layer, config.seed)
     return net, spec.params(spec.only("lambdas"), spec.only("betas")), omega_set
@@ -292,46 +275,54 @@ def _mmca(config: RunConfig, out) -> dict:
     return {**state.rho(), "iterations": state.step}
 
 
-def _experiment_outputs(result, path) -> dict:
-    result.write_csv(path)
+def _experiment_outputs(config: RunConfig, result, path) -> dict:
+    """Line 1 of the CSV is the run's record, as the manifest's config holds it."""
+    record = json.dumps(config.values, separators=(",", ":"))
+    result.write_csv(path, f"muxepi v{__version__} config={record}")
     return {"non_absorbed_runs": result.non_absorbed}
 
 
+# The runners look the experiments up when called, so a wrapper patched in later is the one run.
 def _heatmap(config: RunConfig, out) -> dict:
-    grid = tuple(np.linspace(0.0, 1.0, 21))
-    lambdas = config.values.get("lambdas", grid)
-    spec = _experiment_spec(config, lambdas, config.values.get("betas", grid))
-    return _experiment_outputs(heatmap_experiment(spec, jobs=config.jobs), out("heatmap.csv"))
+    result = heatmap_experiment(_experiment_spec(config), jobs=config.jobs)
+    return _experiment_outputs(config, result, out("heatmap.csv"))
 
 
 def _timeseries(config: RunConfig, out) -> dict:
-    betas = config.values.get("betas", (0.2, 0.5, 0.8))
-    spec = _experiment_spec(config, config.get("lambdas"), betas)
-    result = timeseries_experiment(spec, jobs=config.jobs)
-    return _experiment_outputs(result, out("timeseries.csv"))
+    result = timeseries_experiment(_experiment_spec(config), jobs=config.jobs)
+    return _experiment_outputs(config, result, out("timeseries.csv"))
 
 
 def _sweep(config: RunConfig, out) -> dict:
-    spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
-    result = omega_ratio_sweep(
-        spec, config.get("strategies"), config.get("fractions"), jobs=config.jobs
-    )
-    return _experiment_outputs(result, out("sweep.csv"))
+    strategies, fractions = config.get("strategies"), config.get("fractions")
+    result = omega_ratio_sweep(_experiment_spec(config), strategies, fractions, jobs=config.jobs)
+    return _experiment_outputs(config, result, out("sweep.csv"))
 
 
-# subcommand -> (runner, the keys it reads besides seed and out), from shared key groups.
-_NET, _EDGES = ("n", "ba_m", "ws_k", "ws_p"), ("awareness_edges", "contact_edges")
-_RATES = ("lambdas", "betas", "beta_a", "gamma", "delta", "mu")
-_OMEGA = ("omega_strategy", "omega_count", "omega_fraction")
-_RUN = _NET + _RATES + ("initial_infected_fraction", "max_steps", "replications")
-_SOLVE = _NET + _EDGES + _RATES + _OMEGA + ("tol",)
+def _model(*keys) -> dict:
+    """The ExperimentSpec defaults of `keys`."""
+    return {k: getattr(_SPEC, k) for k in keys}
+
+
+# subcommand -> (runner, {each key it reads besides seed and out: its default}), from shared
+# key groups. A None default leaves the key unset unless given.
+_NET, _RATES = _model("n", "ba_m", "ws_k", "ws_p"), _model("lambdas", "gamma", "delta", "mu")
+_EDGES = dict.fromkeys(("awareness_edges", "contact_edges"))
+_OMEGA = {"omega_strategy": _SPEC.omega.strategy, "omega_count": _SPEC.omega.count,
+          "omega_fraction": None}
+_RUN = {**_NET, **_RATES,
+        **_model("betas", "initial_infected_fraction", "max_steps", "replications")}
+_SOLVE = {**_NET, **_EDGES, **_RATES, **_OMEGA, "omega_count": 0, "tol": DEFAULT_TOL}
+_GRID = tuple(np.linspace(0.0, 1.0, 21))
 _COMMANDS = {
-    "generate": (_generate, _NET + _EDGES),
+    "generate": (_generate, {**_NET, **_EDGES}),
     "threshold": (_threshold, _SOLVE),
-    "mmca": (_mmca, _SOLVE + ("initial_infected_fraction",)),
-    "heatmap": (_heatmap, _RUN + _OMEGA),
-    "timeseries": (_timeseries, _RUN + _OMEGA + ("tail_window",)),
-    "sweep": (_sweep, _RUN + ("strategies", "fractions")),
+    "mmca": (_mmca, {**_SOLVE, **_model("betas", "initial_infected_fraction")}),
+    "heatmap": (_heatmap, {**_RUN, **_OMEGA, "lambdas": _GRID, "betas": _GRID}),
+    "timeseries": (_timeseries,
+                   {**_RUN, **_OMEGA, "betas": (0.2, 0.5, 0.8), **_model("tail_window")}),
+    "sweep": (_sweep, {**_RUN, "strategies": ("degree_top", "random", "degree_bottom"),
+                       "fractions": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)}),
 }
 
 

@@ -9,13 +9,11 @@ replication). Output files are byte-identical across re-runs and worker counts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .dynamics import A, R, DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError
 from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
@@ -89,10 +87,6 @@ class ExperimentSpec:
         if len(values) != 1:
             raise InvalidArgumentError(f"{name} must hold one entry here, got {tuple(values)}")
         return values[0]
-
-    def serialize(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def _check_axis(name: str, values) -> None:
@@ -205,10 +199,10 @@ def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
     return np.array([np.pad(c, ((0, length - len(c)), (0, 0)), mode="edge") for c in curves])
 
 
-def _write_csv(path, spec: ExperimentSpec, columns: str, rows) -> None:
-    """The spec header, then the columns and each row with the replication count appended."""
+def _write_csv(path, header: str, spec: ExperimentSpec, columns: str, rows) -> None:
+    """`header` as a comment line, then the columns and each row with the replication count."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# muxepi v{__version__} spec={spec.serialize()}\n{columns},replications\n")
+        fh.write(f"# {header}\n{columns},replications\n")
         for row in rows:
             fh.write(f"{row},{spec.replications}\n")
 
@@ -240,14 +234,14 @@ class GridResult:
     def curve(self, row) -> np.ndarray:
         return self.mean_rho_r[self.rows.index(row)]
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, header: str) -> None:
         lines = (
             f"{_label(r)},{_label(c)},{float(self.mean_rho_r[i, j])!r},"
             f"{float(self.std_rho_r[i, j])!r}"
             for i, r in enumerate(self.rows)
             for j, c in enumerate(self.cols)
         )
-        _write_csv(path, self.spec, self.columns, lines)
+        _write_csv(path, header, self.spec, self.columns, lines)
 
 
 class TimeseriesResult(GridResult):
@@ -257,13 +251,13 @@ class TimeseriesResult(GridResult):
         """Replication means of betas[j]'s (steps, 2) rho_R and rho_A curves."""
         return _pad_forward([r.curves for r in self.runs[j]]).mean(axis=0)
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, header: str) -> None:
         rows = (
             f"{_label(beta)},{t},{float(rr)!r},{float(ra)!r}"
             for j, beta in enumerate(self.cols)
             for t, (rr, ra) in enumerate(self.mean_curves(j))
         )
-        _write_csv(path, self.spec, self.columns, rows)
+        _write_csv(path, header, self.spec, self.columns, rows)
 
 
 def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:

@@ -51,26 +51,39 @@ class TestParseConfig:
         table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
         first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
         names = re.findall(r"`(\w+)`", "".join(first_cells))
-        assert len(_KEYS) == 27
+        assert len(_KEYS) == 26
         assert sorted(names) == sorted(_KEYS)
 
     def test_readme_key_table_defaults_match_keys(self):
-        # Each row's default cell starts with the numbers of its keys' defaults, in order.
+        # Each row's default cell starts with the numbers of its keys' defaults in _COMMANDS:
+        # each key's distinct defaults in subcommand order; "a, b, ..., c" is an even grid.
         def numbers(default):
             values = default if isinstance(default, tuple) else (default,)
             return [v for v in values if isinstance(v, (int, float))]
 
+        def defaults(key):
+            seen = [reads[key] for _, reads in _COMMANDS.values() if key in reads]
+            return [d for i, d in enumerate(seen) if d not in seen[:i]]
+
+        def expand(match):
+            first, second, last = (float(x) for x in match.groups())
+            steps = round((last - first) / (second - first))
+            return ", ".join(str(first + i * (second - first)) for i in range(steps + 1))
+
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
+        number = r"(?<![\w.])\d[\d.]*(?:e-?\d+)?"
         checked = set()
         for row in (r for r in table.splitlines() if r.startswith("| `")):
             cells = row.split("|")
-            keys = [k for k in re.findall(r"`(\w+)`", cells[1]) if numbers(_KEYS[k][1])]
-            expected = [v for k in keys for v in numbers(_KEYS[k][1])]
-            found = re.findall(r"(?<![\w.])\d[\d.]*(?:e-?\d+)?", cells[3])[: len(expected)]
-            assert [float(x) for x in found] == expected, row
-            checked.update(keys)
-        assert checked == {k for k, (_, d) in _KEYS.items() if numbers(d)}
+            keys = [k for k in re.findall(r"`(\w+)`", cells[1]) if k in _KEYS]
+            expected = [v for k in keys for d in defaults(k) for v in numbers(d)]
+            text = re.sub(rf"({number}), ({number}), \.\.\., ({number})", expand, cells[3])
+            found = re.findall(number, text)[: len(expected)]
+            assert [float(x) for x in found] == pytest.approx(expected), row
+            checked.update(k for k in keys if any(numbers(d) for d in defaults(k)))
+        assert checked == {k for _, reads in _COMMANDS.values() for k, d in reads.items()
+                           if numbers(d)}
 
     def test_readme_key_table_states_each_domain(self):
         # Each kind cell lists, comma-separated, the domain its keys declare in _KEYS.
@@ -93,22 +106,22 @@ class TestParseConfig:
         for row in (r for r in table.splitlines() if r.startswith("| `")):
             cells = row.split("|")
             for key in re.findall(r"`(\w+)`", cells[1]):
-                assert stated(_KEYS[key][0]) in cells[2].strip().split(", "), row
+                assert stated(_KEYS[key]) in cells[2].strip().split(", "), row
                 checked.append(key)
         assert sorted(checked) == sorted(_KEYS)
 
     def test_readme_example_heatmap(self, tmp_path):
         config = readme_config(tmp_path, "heatmap")
-        spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
+        spec = _experiment_spec(config)
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         assert spec.lambdas == spec.betas == grid
         assert (spec.replications, spec.n, spec.master_seed) == (10, 10000, 42)
 
     def test_readme_example_sweep(self, tmp_path):
         config = readme_config(tmp_path, "sweep")
-        spec = _experiment_spec(config, config.get("lambdas"), config.get("betas"))
+        spec = _experiment_spec(config)
         assert (spec.lambdas, spec.betas) == ((0.3,), (0.2,))
-        assert spec.gamma == 0.08 / 0.2
+        assert spec.gamma == 0.4
         assert config.get("strategies") == ("degree_top", "random", "degree_bottom")
         assert config.get("fractions") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -144,7 +157,7 @@ class TestParseConfig:
     def test_section_follows_resolved_subcommand(self, text, sets, mu, tmp_path):
         config = parse_config(write_config(tmp_path, text), overrides=sets)
         sub = sets.get("subcommand", "threshold")
-        assert config.subcommand == config.values["subcommand"] == sub
+        assert config.subcommand == sub
         assert config.get("mu") == mu
 
     def test_out_precedence(self, tmp_path):
@@ -154,14 +167,14 @@ class TestParseConfig:
         sets = {"out": "set"}
         assert parse_config(path, overrides=sets, subcommand="threshold").out_dir == "set"
         flag = parse_config(path, overrides=sets, subcommand="threshold", out_dir="flag")
-        assert flag.out_dir == "flag" and flag.values["out"] == "set"
+        assert flag.out_dir == "flag" and "out" not in flag.values
         assert parse_config(subcommand="threshold").out_dir == "."
-        assert parse_config(subcommand="threshold", out_dir="").out_dir == "."
+        assert main(["threshold", "--out", ""]) == 2
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         path = write_config(tmp_path, "\n# a comment\n; another\n   \nn = 60\n")
         config = parse_config(path, subcommand="threshold")
-        assert config.values == {"n": 60, "subcommand": "threshold"}
+        assert config.values == {**parse_config(subcommand="threshold").values, "n": 60}
 
     def test_unknown_subcommand_argument(self):
         with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
@@ -257,7 +270,7 @@ class TestMainErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["threshold", "--set", "beta_u=0.1", "--set", "beta_a=0.5"], "beta_a"),
+            (["threshold", "--set", "gamma=1.5"], "--set gamma: gamma 1.5 outside range"),
             (["generate", "--set", "ws_k=5"], "k must be even"),
             (["threshold", "--set", "omega_count=61"], "count 61 exceeds 60"),
             (["heatmap", "--set", "replications=0", "--set", "betas=0.2"], "replications"),
@@ -308,8 +321,6 @@ class TestMainErrors:
              "betas must hold one entry"),
             (["mmca", "--set", "lambdas=0.2,0.9"], "lambdas must hold one entry"),
             (["threshold", "--set", "lambdas=0.2,0.9"], "lambdas must hold one entry"),
-            (["threshold", "--set", "gamma=0.3", "--set", "beta_a=0.1", "--set", "beta_u=0.4"],
-             "gamma and beta_a are both given"),
             (["threshold", "--set", "awareness_edges=nope.edges", "--set", "contact_edges=ring.edges"],
              "nope.edges: cannot read: No such file"),
             (["threshold", "--set", "awareness_edges=ring.edges", "--set", "contact_edges=dir.edges"],
@@ -335,6 +346,8 @@ class TestMainErrors:
             (["heatmap", "--set", "omega_fraction=0.1", "--set", "omega_count=3",
               "--set", "lambdas=0.5", "--set", "betas=0.2"],
              "omega_count and omega_fraction are both given"),
+            (["heatmap", "--set", "beta_a=0.1"], "--set beta_a: unknown key 'beta_a'"),
+            (["threshold", "--set", "beta_u=0.1"], "--set beta_u: threshold reads no beta_u"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -347,13 +360,14 @@ class TestMainErrors:
              "edge_index_beyond_int64", "edge_header_not_ascii", "edge_body_not_ascii",
              "unknown_strategy_entry", "subcommand_in_section", "timeseries_second_lambda",
              "sweep_second_beta", "mmca_second_lambda", "threshold_second_lambda",
-             "gamma_with_beta_a", "missing_edge_file", "edge_file_is_a_directory",
+             "missing_edge_file", "edge_file_is_a_directory",
              "generate_missing_edge_file", "zero_ba_m_names_key", "zero_ws_k_names_key",
              "negative_omega_count_names_key", "generate_zero_replications",
              "generate_negative_tail_window", "generate_zero_max_steps",
              "generate_omega_fraction_above_one", "generate_nan_initial_infected_fraction",
              "nul_in_path", "empty_awareness_edges", "empty_contact_edges", "empty_set_out",
-             "empty_config_out", "omega_count_with_fraction", "heatmap_omega_fraction_with_count"],
+             "empty_config_out", "omega_count_with_fraction", "heatmap_omega_fraction_with_count",
+             "removed_beta_a", "threshold_beta_u"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -415,25 +429,6 @@ class TestMainErrors:
         assert "no positive eigenvalue" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["heatmap", "--set", "betas=0.0,0.2", "--set", "lambdas=0.5"], "exactly one beta_u"),
-            (["timeseries"], "exactly one beta_u"),
-            (["sweep", "--set", "beta_u=0"], "beta_u > 0"),
-            (["threshold", "--set", "beta_u=0"], "beta_u > 0"),
-            (["mmca", "--set", "beta_u=0.05"], "exceeds beta_u"),
-        ],
-        ids=["heatmap_beta_grid", "timeseries_default_betas", "sweep_zero_beta_u",
-             "threshold_zero_beta_u", "mmca_beta_a_above_beta_u"],
-    )
-    def test_beta_a_conflict_rejected(self, argv, message, tmp_path, capsys):
-        rc = main(argv + ["--out", str(tmp_path), "--set", "n=60", "--set", "beta_a=0.1"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error: beta_a" in err and message in err
-        assert not (tmp_path / "manifest.json").exists()
-
 
 class TestRateAxes:
     """lambda and beta_u are the one-value spellings of lambdas and betas."""
@@ -448,12 +443,14 @@ class TestRateAxes:
         manifest = json.loads((out / "manifest.json").read_text())
         return manifest["config"], {f: (out / f).read_bytes() for f in manifest["outputs"]}
 
-    @pytest.mark.parametrize("subcommand", ["sweep", "timeseries", "mmca", "threshold"])
     @pytest.mark.parametrize(
-        "one, axis", [("lambda=0.3", "lambdas=0.3"), ("beta_u=0.1", "betas=0.1")],
-        ids=["lambda", "beta_u"],
+        "one, axis, subcommand",
+        [("lambda=0.3", "lambdas=0.3", s) for s in ("sweep", "timeseries", "mmca", "threshold")]
+        + [("beta_u=0.1", "betas=0.1", s) for s in ("sweep", "timeseries", "mmca")],
+        ids=[f"lambda-{s}" for s in ("sweep", "timeseries", "mmca", "threshold")]
+        + [f"beta_u-{s}" for s in ("sweep", "timeseries", "mmca")],
     )
-    def test_spellings_give_the_same_bytes(self, subcommand, one, axis, tmp_path):
+    def test_spellings_give_the_same_bytes(self, one, axis, subcommand, tmp_path):
         config, outputs = self.run(subcommand, [one], tmp_path / "one")
         assert (config, outputs) == self.run(subcommand, [axis], tmp_path / "axis")
         assert one.split("=")[0] not in config
@@ -481,7 +478,8 @@ def sample(domain):
     return sample(domain[0]) if isinstance(domain, list) else _SAMPLES[domain]
 
 
-_SETTABLE = sorted(set(_KEYS) - {"subcommand", "seed", "out"})
+# beta_a, once the second spelling of gamma, is an unknown key wherever it is given.
+_SETTABLE = sorted(set(_KEYS) - {"subcommand", "seed", "out"} | {"beta_a"})
 
 
 class TestReadSets:
@@ -491,9 +489,15 @@ class TestReadSets:
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_key_is_read_or_rejected(self, subcommand, key, tmp_path):
         declared = _AXES.get(key, key) in _COMMANDS[subcommand][1]
-        value = sample(_KEYS[key][0])
+        value = sample(_KEYS.get(key, (float, 0.0, 1.0)))
         common = write_config(tmp_path, f"{key} = {value}\n", "common.cfg")
         section = write_config(tmp_path, f"[{subcommand}]\n{key} = {value}\n", "section.cfg")
+        if key not in _KEYS:
+            for path, sets, where in ((None, {key: value}, f"--set {key}"),
+                                      (common, {}, "common.cfg:1"), (section, {}, "section.cfg:2")):
+                with pytest.raises(ConfigError, match=f"{where}: unknown key '{key}'$"):
+                    parse_config(path, overrides=sets, subcommand=subcommand)
+            return
         if declared:
             for path, sets in ((None, {key: value}), (common, {}), (section, {})):
                 config = parse_config(path, overrides=sets, subcommand=subcommand)
@@ -504,7 +508,8 @@ class TestReadSets:
         with pytest.raises(ConfigError, match=f"section.cfg:2: {subcommand} reads no {key}$"):
             parse_config(section, subcommand=subcommand)
         # The common block is shared by every subcommand: each skips what it does not read.
-        assert parse_config(common, subcommand=subcommand).values == {"subcommand": subcommand}
+        assert parse_config(common, subcommand=subcommand).values == parse_config(
+            subcommand=subcommand).values
 
     def test_a_section_of_another_subcommand_is_checked_too(self, tmp_path):
         path = write_config(tmp_path, "[sweep]\nomega_count = 3\n")
@@ -516,7 +521,7 @@ class TestReadSets:
         [
             ("generate", []),
             ("threshold", ["omega_count=3"]),
-            ("mmca", ["beta_u=0.3", "beta_a=0.1"]),
+            ("mmca", ["beta_u=0.3", "gamma=0.3"]),
             ("heatmap", ["replications=1", "lambdas=0.5", "betas=0.2"]),
             ("timeseries", ["replications=1", "betas=0.2", "omega_fraction=0.1"]),
             ("sweep", ["replications=1", "strategies=random", "fractions=0.1"]),
@@ -537,6 +542,10 @@ class TestReadSets:
             def __contains__(self, key):
                 seen.add(key)
                 return super().__contains__(key)
+
+            def items(self):
+                seen.update(self.keys())
+                return super().items()
 
         def recording_run(config):
             config.values = Recorder(config.values)
@@ -628,16 +637,6 @@ class TestThreshold:
         ])
         assert rc == 0
         assert (out / "threshold.csv").exists()
-
-
-    def test_beta_a_sets_gamma_for_one_beta_u(self, tmp_path):
-        out = tmp_path / "thr"
-        rc = main([
-            "threshold", "--out", str(out),
-            "--set", "n=60", "--set", "beta_u=0.4", "--set", "beta_a=0.1",
-        ])
-        assert rc == 0
-        assert (out / "threshold.csv").read_text().splitlines()[1].startswith("0.25,")
 
 
 class TestMmca:

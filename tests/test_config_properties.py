@@ -56,12 +56,12 @@ def in_domain(domain, raw: str) -> bool:
 
 def reads(subcommand: str, key: str) -> bool:
     """Whether `subcommand` reads `key`, from the table of `cli._COMMANDS`."""
-    declared = cli._COMMANDS[subcommand][1] + ("subcommand", "seed", "out")
+    declared = (*cli._COMMANDS[subcommand][1], "subcommand", "seed", "out")
     return cli._AXES.get(key, key) in declared
 
 
 def small(pairs) -> bool:
-    return all(not in_domain(cli._KEYS[k][0], v.strip()) or int(v) <= 60
+    return all(not in_domain(cli._KEYS[k], v.strip()) or int(v) <= 60
                for k, v in pairs.items() if k in _SIZES)
 
 
@@ -87,7 +87,7 @@ def test_out_of_domain_value_exits_2_naming_the_key(pairs, subcommand, draw, tmp
                                                      monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MUXEPI_SEED", raising=False)
-    bad = [k for k, v in pairs.items() if not in_domain(cli._KEYS[k][0], v.strip())]
+    bad = [k for k, v in pairs.items() if not in_domain(cli._KEYS[k], v.strip())]
     unread = [k for k in pairs if not reads(subcommand, k)]
     end_to_end = draw == 0 and subcommand in _RUNNABLE and small(pairs)
     argv = [subcommand, "--out", "out", "--jobs", "1"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import muxepi
 from muxepi import (
     ExperimentSpec,
     InvalidArgumentError,
@@ -18,6 +19,8 @@ from muxepi.cli import main
 from muxepi.dynamics import I, mc_step
 from muxepi.experiments import plateau_step
 from muxepi.selection import select_omega
+
+HEADER = "muxepi test"  # line 1 of each CSV these tests write, after "# "
 
 
 def small_spec(**kwargs):
@@ -147,7 +150,7 @@ class TestHeatmap:
             paths = []
             for i, jobs in enumerate((1, 1, 2)):
                 p = tmp_path / f"{name}{i}.csv"
-                driver(jobs).write_csv(p)
+                driver(jobs).write_csv(p, HEADER)
                 paths.append(p.read_bytes())
             assert paths[0] == paths[1] == paths[2], name
 
@@ -180,9 +183,9 @@ class TestHeatmap:
         spec = small_spec()
         res = heatmap_experiment(spec)
         p = tmp_path / "hm.csv"
-        res.write_csv(p)
+        res.write_csv(p, HEADER)
         lines = p.read_text().splitlines()
-        assert lines[0].startswith("# muxepi v") and "spec=" in lines[0]
+        assert lines[0] == f"# {HEADER}"
         assert lines[1] == "lambda,beta_u,mean_rho_r,std_rho_r,replications"
         assert len(lines) == 2 + 1  # one grid cell
         fields = lines[2].split(",")
@@ -203,7 +206,7 @@ class TestGridResult:
         mean, std = res.mean_rho_r, res.std_rho_r
         assert mean[2, 5] == np.mean(finals[2 * 21 + 5])
         assert std[2, 5] == np.std(finals[2 * 21 + 5], ddof=1)
-        res.write_csv(tmp_path / "hm.csv")
+        res.write_csv(tmp_path / "hm.csv", HEADER)
         rows = (tmp_path / "hm.csv").read_text().splitlines()[2:]
         assert rows == [
             f"{float(lam)!r},{float(beta)!r},{float(mean[i, j])!r},{float(std[i, j])!r},3"
@@ -214,7 +217,7 @@ class TestGridResult:
 
     def test_int_fraction_written_as_float(self, tmp_path):
         res = omega_ratio_sweep(small_spec(replications=1), ["random"], [0, 0.1])
-        res.write_csv(tmp_path / "sw.csv")
+        res.write_csv(tmp_path / "sw.csv", HEADER)
         rows = (tmp_path / "sw.csv").read_text().splitlines()[2:]
         assert [r.split(",")[:2] for r in rows] == [["random", "0.0"], ["random", "0.1"]]
 
@@ -248,10 +251,9 @@ class TestTailSkip:
             blobs = []
             for tail in (0, 100):
                 p = tmp_path / f"{name}{tail}.csv"
-                driver(small_spec(betas=betas[name], tail_window=tail)).write_csv(p)
+                driver(small_spec(betas=betas[name], tail_window=tail)).write_csv(p, HEADER)
                 blobs.append(p.read_text().splitlines())
-            assert blobs[0][0] != blobs[1][0], name
-            assert blobs[0][1:] == blobs[1][1:], name
+            assert blobs[0] == blobs[1], name
 
     @pytest.mark.parametrize("kind", [experiments._KIND_HEATMAP, experiments._KIND_SWEEP])
     def test_heatmap_and_sweep_stop_at_absorption(self, step_calls, kind):
@@ -367,18 +369,27 @@ class TestSharedNetworks:
 
 
 class TestHeader:
-    def test_omega_has_no_seed(self, tmp_path):
-        spec = small_spec(n=60, replications=1)
-        results = (
-            heatmap_experiment(spec),
-            timeseries_experiment(spec),
-            omega_ratio_sweep(spec, ["random"], [0.1]),
-        )
-        for res in results:
-            p = tmp_path / "out.csv"
-            res.write_csv(p)
-            header = json.loads(p.read_text().splitlines()[0].split("spec=", 1)[1])
-            assert header["omega"] == {"count": 4, "fraction": None, "strategy": "random"}
+    def test_line_one_is_the_manifest_config(self, tmp_path):
+        # The record holds what the run read: sweep sizes its sets by fractions, and only
+        # timeseries runs a tail.
+        runs = {
+            "heatmap": ["lambdas=0.2,0.8", "betas=0.3", "omega_fraction=0.1"],
+            "timeseries": ["betas=0.3,0.6", "tail_window=7"],
+            "sweep": ["strategies=random", "fractions=0.1"],
+        }
+        for subcommand, items in runs.items():
+            out = tmp_path / subcommand
+            argv = [subcommand, "--seed", "7", "--jobs", "1", "--out", str(out)]
+            for item in ["n=60", "replications=1", *items]:
+                argv += ["--set", item]
+            assert main(argv) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            prefix, record = (out / f"{subcommand}.csv").read_text().split("\n")[0].split(" config=")
+            assert prefix == f"# muxepi v{muxepi.__version__}"
+            assert json.loads(record) == config
+            assert config["seed"] == 7 and "out" not in config
+            assert ("tail_window" in config) == (subcommand == "timeseries")
+            assert any(k.startswith("omega_") for k in config) == (subcommand != "sweep")
 
 
 class TestTimeseries:
@@ -402,7 +413,7 @@ class TestTimeseries:
         spec = small_spec()
         res = timeseries_experiment(spec)
         p = tmp_path / "ts.csv"
-        res.write_csv(p)
+        res.write_csv(p, HEADER)
         lines = p.read_text().splitlines()
         assert lines[1] == "beta_u,step,rho_R,rho_A,replications"
         assert len(lines) == 2 + len(res.mean_curves(0))
@@ -413,12 +424,10 @@ class TestTimeseries:
         res = timeseries_experiment(spec)
         assert res.spec.lambdas[0] == 0.9
         p = tmp_path / "ts.csv"
-        res.write_csv(p)
+        res.write_csv(p, HEADER)
         lines = p.read_text().splitlines()
-        header = json.loads(lines[0].split("spec=", 1)[1])
         row_betas = list(dict.fromkeys(float(line.split(",")[0]) for line in lines[2:]))
-        assert header["lambdas"] == [0.9]
-        assert header["betas"] == row_betas == [0.2, 0.6]
+        assert row_betas == [0.2, 0.6]
 
 
 class TestSweep:
@@ -445,7 +454,7 @@ class TestSweep:
         for i in range(2):
             res = omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.1])
             p = tmp_path / f"sw{i}.csv"
-            res.write_csv(p)
+            res.write_csv(p, HEADER)
             blobs.append(p.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -453,7 +462,7 @@ class TestSweep:
         spec = small_spec()
         res = omega_ratio_sweep(spec, ["random"], [0.1])
         p = tmp_path / "sw.csv"
-        res.write_csv(p)
+        res.write_csv(p, HEADER)
         lines = p.read_text().splitlines()
         assert lines[1] == "strategy,fraction,mean_rho_r,std_rho_r,replications"
         assert lines[2].startswith("random,0.1,")
@@ -486,7 +495,7 @@ class TestRankingCache:
             res = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=jobs)
             if jobs == 1:
                 assert calls == {"betweenness": 2, "clustering_coefficients": 2}
-            res.write_csv(tmp_path / f"sweep{jobs}.csv")
+            res.write_csv(tmp_path / f"sweep{jobs}.csv", HEADER)
             blobs.append((tmp_path / f"sweep{jobs}.csv").read_bytes())
         assert blobs[0] == blobs[1]
 

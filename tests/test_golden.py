@@ -50,20 +50,20 @@ CASES = {
     "heatmap": (
         ["heatmap"] + EXPERIMENT + OMEGA + ["--set", "lambdas=0.0,0.6", "--set", "betas=0.0,0.2,0.5"],
         {
-            "heatmap.csv": "2726ff023f6fe2a9fb6ca6432cdb964888c83fcc8b3dd6ea60e83dedfb2209ae",
+            "heatmap.csv": "a5c98586705b865e2ff77467bb88eef914d43f47481a030e6ad161c2734cfa21",
         },
     ),
     "timeseries": (
         ["timeseries"] + EXPERIMENT + OMEGA + ["--set", "lambda=0.5", "--set", "betas=0.2,0.6"],
         {
-            "timeseries.csv": "9e62fba2bbe917d27058176ad0889912efef7b11b47f799767cb3754fd270a34",
+            "timeseries.csv": "65041d45a7db67be3dd6266a72e10f29cf461d5132ea669747be7a1120ab5430",
         },
     ),
     "sweep": (
         ["sweep"] + EXPERIMENT
         + ["--set", "strategies=betweenness_top,clustering_top,random", "--set", "fractions=0.1"],
         {
-            "sweep.csv": "1324505ff662924606422db4d347f13d6f18d3589ca511e82273b06ae0e2b5af",
+            "sweep.csv": "5a41dbda4300dc8e4bad4287231166637f8c1311aed0b041e41d6c8daf452d52",
         },
     ),
 }
@@ -73,6 +73,16 @@ def _run(argv, out):
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in manifest["outputs"]}
+
+
+def _replay_argv(subcommand, out):
+    """`subcommand` with the manifest's config in `out` as --set pairs, lists joined by commas."""
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    argv = [subcommand, "--jobs", "2"]
+    for key, value in config.items():
+        value = ",".join(map(str, value)) if isinstance(value, list) else value
+        argv += ["--set", f"{key}={value}"]
+    return argv
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -92,3 +102,13 @@ def test_threshold_from_edge_files_matches_generated(tmp_path):
         "--set", f"contact_edges={gen / 'contact.edges'}",
     ]
     assert _run(argv, tmp_path / "thr") == pinned
+    # The record names the edge files, so the run replays while they exist.
+    assert _run(_replay_argv("threshold", tmp_path / "thr"), tmp_path / "replay") == pinned
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifest_config_replays_the_run(name, tmp_path):
+    # The record is whole: fed back as --set pairs alone, it gives every output byte again.
+    argv, pinned = CASES[name]
+    assert _run(argv, tmp_path / "run") == pinned
+    assert _run(_replay_argv(argv[0], tmp_path / "run"), tmp_path / "replay") == pinned
