@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, InvalidArgumentError, MuxepiError
 from .experiments import (
@@ -28,7 +26,8 @@ from .experiments import (
     timeseries_experiment,
 )
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
-from .graph import build_multiplex, generate_ba, read_edge_list, write_edge_list  # noqa: F401
+from .graph import (  # noqa: F401
+    build_multiplex, generate_ba, read_edge_list, write_edge_list, write_lines)
 from .mmca import (
     COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv)
 from .selection import STRATEGIES, OmegaSpec, write_omega_set
@@ -194,6 +193,9 @@ def parse_config(
         if "omega_count" in given:
             raise ConfigError("omega_count and omega_fraction are both given; give one")
         defaults["omega_count"] = None
+    if ("awareness_edges" in given) != ("contact_edges" in given):
+        missing = "awareness_edges" if "contact_edges" in given else "contact_edges"
+        raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
     record = {k: given.get(k, default) for k, default in defaults.items()} | {"seed": seed}
     values = {k: v for k, v in sorted(record.items()) if v is not None}
     return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, values)
@@ -201,11 +203,8 @@ def parse_config(
 
 def _networks(config: RunConfig):
     aw_path, ct_path = config.get("awareness_edges"), config.get("contact_edges")
-    if aw_path and ct_path:
+    if aw_path:  # parse_config lets no edge file through alone
         return build_multiplex(read_edge_list(aw_path), read_edge_list(ct_path))
-    if aw_path or ct_path:
-        missing = "contact_edges" if aw_path else "awareness_edges"
-        raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
     return replication_multiplex(*(config.get(k) for k in _NET), config.seed)
 
 
@@ -229,12 +228,8 @@ def _write_manifest(config: RunConfig, outputs, extra, wall_time):
         "outputs": outputs,
         "wall_time_s": wall_time,
     }
-    manifest.update(extra)
-    path = os.path.join(config.out_dir, "manifest.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return path
+    text = json.dumps({**manifest, **extra}, indent=2, sort_keys=True, default=str)
+    write_lines(os.path.join(config.out_dir, "manifest.json"), [text])
 
 
 def _generate(config: RunConfig, out) -> dict:
@@ -313,7 +308,7 @@ _OMEGA = {"omega_strategy": _SPEC.omega.strategy, "omega_count": _SPEC.omega.cou
 _RUN = {**_NET, **_RATES,
         **_model("betas", "initial_infected_fraction", "max_steps", "replications")}
 _SOLVE = {**_NET, **_EDGES, **_RATES, **_OMEGA, "omega_count": 0, "tol": DEFAULT_TOL}
-_GRID = tuple(np.linspace(0.0, 1.0, 21))
+_GRID = tuple(i / 20 for i in range(21))
 _COMMANDS = {
     "generate": (_generate, {**_NET, **_EDGES}),
     "threshold": (_threshold, _SOLVE),

@@ -10,13 +10,14 @@ replication). Output files are byte-identical across re-runs and worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import A, R, DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError
-from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
+from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws, write_lines
 from .selection import OmegaSpec, select_omega
 
 __all__ = [
@@ -201,10 +202,8 @@ def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
 
 def _write_csv(path, header: str, spec: ExperimentSpec, columns: str, rows) -> None:
     """`header` as a comment line, then the columns and each row with the replication count."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {header}\n{columns},replications\n")
-        for row in rows:
-            fh.write(f"{row},{spec.replications}\n")
+    lines = (f"{row},{spec.replications}" for row in rows)
+    write_lines(path, chain([f"# {header}", f"{columns},replications"], lines))
 
 
 def _label(value) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -338,11 +339,15 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
     return np.divide(twice_links, d * (d - 1), out=np.zeros(g.node_count), where=d >= 2)
 
 
+def write_lines(path, lines) -> None:
+    """Stream each of `lines` and a newline to `path` as ASCII: every output file's one writer."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def write_edge_list(g: Graph, path) -> None:
     """Write the canonical edge-list text format: header `# nodes=N`, then `i j` lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# nodes={g.node_count}\n")
-        fh.write("".join(f"{i} {j}\n" for i, j in g.edges()))
+    write_lines(path, chain([f"# nodes={g.node_count}"], (f"{i} {j}" for i, j in g.edges())))
 
 
 def read_edge_list(path) -> Graph:

@@ -10,12 +10,13 @@ once), so it is never aware and its infected mass stays unaware.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .dynamics import DynamicsParams, omega_mask
 from .errors import InvalidArgumentError, NonConvergenceError
-from .graph import Graph, MultiplexNetwork
+from .graph import Graph, MultiplexNetwork, write_lines
 
 __all__ = [
     "MmcaState",
@@ -352,18 +353,12 @@ def epidemic_threshold(
 
 
 def write_threshold_csv(result: ThresholdResult, params: DynamicsParams, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("gamma,lambda,delta,mu,lambda_max_H,beta_c\n")
-        fh.write(
-            f"{params.gamma!r},{params.lam!r},{params.delta!r},{params.mu!r},"
-            f"{result.lambda_max!r},{result.beta_c!r}\n"
-        )
+    values = (params.gamma, params.lam, params.delta, params.mu, result.lambda_max, result.beta_c)
+    write_lines(path, ("gamma,lambda,delta,mu,lambda_max_H,beta_c", ",".join(map(repr, values))))
 
 
 def write_node_csv(path, names, columns) -> None:
     """A `node,<names>` header, then one row per node of each column's float repr."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(("node", *names)) + "\n")
-        rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
-        for i, row in enumerate(rows):
-            fh.write(f"{i},{','.join(map(repr, row))}\n")
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    lines = (f"{i},{','.join(map(repr, row))}" for i, row in enumerate(rows))
+    write_lines(path, chain([",".join(("node", *names))], lines))

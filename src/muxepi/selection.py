@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph
+from .graph import Graph, write_lines
 
 STRATEGIES = (
     "random",
@@ -75,6 +75,4 @@ def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
 
 def write_omega_set(nodes, path) -> None:
     """One node index per line, for audit and replay."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i in nodes:
-            fh.write(f"{int(i)}\n")
+    write_lines(path, (int(i) for i in nodes))

@@ -46,6 +46,14 @@ class TestParseConfig:
         assert config.get("ws_p") == 0.1
         assert config.seed == 0
 
+    def test_default_heatmap_grid_is_its_decimals(self):
+        # README states the grid as 0, 0.05, ..., 1: each value is written as that decimal.
+        config = parse_config(subcommand="heatmap")
+        for key in ("lambdas", "betas"):
+            values = config.get(key)
+            assert len(values) == 21
+            assert [repr(v) for v in values] == [repr(round(v, 2)) for v in values]
+
     def test_readme_key_table_names_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| key | kind | default |\n", 1)[1].split("\n\n", 1)[0]
@@ -397,6 +405,13 @@ class TestMainErrors:
         assert main(["generate", "--out", str(out), "--set", "n=60"]) == 2
         assert f"cannot create output directory {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["awareness_edges", "contact_edges"])
+    def test_lone_edge_file_exits_before_out_exists(self, key, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert main(["threshold", "--out", str(out), "--set", "n=60", "--set", f"{key}=a.edges"]) == 2
+        assert "awareness_edges and contact_edges go together" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["heatmap", "timeseries", "sweep"])
     @pytest.mark.parametrize(
         "keys",
@@ -478,6 +493,7 @@ def sample(domain):
     return sample(domain[0]) if isinstance(domain, list) else _SAMPLES[domain]
 
 
+_EDGE_KEYS = {"awareness_edges", "contact_edges"}
 # beta_a, once the second spelling of gamma, is an unknown key wherever it is given.
 _SETTABLE = sorted(set(_KEYS) - {"subcommand", "seed", "out"} | {"beta_a"})
 
@@ -499,8 +515,10 @@ class TestReadSets:
                     parse_config(path, overrides=sets, subcommand=subcommand)
             return
         if declared:
+            # An edge file is read only with its partner, so --set gives the partner.
+            partner = {k: value for k in _EDGE_KEYS - {key}} if key in _EDGE_KEYS else {}
             for path, sets in ((None, {key: value}), (common, {}), (section, {})):
-                config = parse_config(path, overrides=sets, subcommand=subcommand)
+                config = parse_config(path, overrides={**sets, **partner}, subcommand=subcommand)
                 assert _AXES.get(key, key) in config.values
             return
         with pytest.raises(ConfigError, match=f"^--set {key}: {subcommand} reads no {key}$"):

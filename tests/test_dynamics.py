@@ -44,9 +44,11 @@ class TestParams:
         p = default_params(beta_u=0.4, gamma=0.25)
         assert p.beta_a == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("bad", [dict(lam=1.5), dict(beta_u=-0.1), dict(gamma=2.0)])
+    @pytest.mark.parametrize(
+        "bad", [dict(lam=1.5), dict(beta_u=-0.1), dict(gamma=2.0), dict(max_steps=0)])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(InvalidArgumentError):
+        [(key, value)] = bad.items()
+        with pytest.raises(InvalidArgumentError, match=rf"^{key} must be .*, got {value}$"):
             default_params(**bad)
 
     def test_rejects_bad_seed_fraction(self):

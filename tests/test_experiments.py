@@ -76,6 +76,11 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             small_spec(lambdas=(1.5,))
 
+    @pytest.mark.parametrize("key, value, floor", [("replications", 0, 1), ("tail_window", -1, 0)])
+    def test_count_below_its_floor_rejected(self, key, value, floor):
+        with pytest.raises(InvalidArgumentError, match=f"^{key} must be >= {floor}$"):
+            ExperimentSpec(**{key: value})
+
     def test_bad_sweep_fraction_rejected(self):
         with pytest.raises(InvalidArgumentError):
             omega_ratio_sweep(small_spec(), ["random"], [0.0, 1.5])
@@ -196,7 +201,7 @@ class TestGridResult:
     """One result type for the heatmap and the sweep, with the old CSV bytes."""
 
     def test_linspace_axes_write_plain_float_reprs(self, tmp_path):
-        # The CLI's default heatmap axes are numpy float64 values.
+        # A library caller's axes may hold numpy float64 values, as np.linspace gives.
         axis = tuple(np.linspace(0.0, 1.0, 21))
         finals = np.random.default_rng(3).random((21 * 21, 3))
         runs = [tuple(experiments.RunRecord(f, True, 0.0, 0, None) for f in cell) for cell in finals]

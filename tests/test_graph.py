@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,10 @@ class TestGenerateBA:
         with pytest.raises(InvalidArgumentError):
             generate_ba(3, 4)
 
+    def test_zero_m_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^m must be >= 1, got 0$"):
+            generate_ba(10, 0)
+
     def test_seed_clique_only(self):
         g = generate_ba(4, 4, seed=0)
         assert g == complete_graph(4)
@@ -164,6 +171,10 @@ class TestGenerateWS:
     def test_k_not_below_n_rejected(self):
         with pytest.raises(InvalidArgumentError):
             generate_ws(4, 4, 0.1)
+
+    def test_k_below_two_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^k must be >= 2, got 0$"):
+            generate_ws(10, 0, 0.1)
 
     def test_bad_p_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -353,3 +364,42 @@ class TestEdgeListIO:
         assert read_edge_list(path) == Graph(4, [])
         path.write_text("# nodes=4\n  2 3\n# c\n\n0 1\n")
         assert read_edge_list(path) == Graph(4, [(0, 1), (2, 3)])
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` may write a file: `open` or `.open` without a literal read mode,
+    or `.write_text`/`.write_bytes`."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    if not modes:
+        return False  # the default mode reads
+    mode = modes[0]
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True  # a mode computed at run time may write
+
+
+class TestWriteLines:
+    def test_each_line_ends_in_one_newline(self, tmp_path):
+        graph.write_lines(tmp_path / "x.txt", (str(i) for i in range(3)))
+        assert (tmp_path / "x.txt").read_bytes() == b"0\n1\n2\n"
+
+    def test_is_the_only_write_mode_open(self):
+        # Every output file goes through write_lines, so the text policy is decided once.
+        found = []
+        for path in sorted(Path(graph.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and _writes(node):
+                    scope = parents[node]
+                    while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                        scope = parents[scope]
+                    found.append((path.name, getattr(scope, "name", None)))
+        assert found == [("graph.py", "write_lines")]

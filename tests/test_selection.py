@@ -22,6 +22,11 @@ def test_unknown_strategy():
         OmegaSpec(strategy="pagerank_top", count=5)
 
 
+def test_negative_count():
+    with pytest.raises(InvalidArgumentError, match=r"^count must be >= 0, got -1$"):
+        OmegaSpec(strategy="random", count=-1)
+
+
 def test_bad_fraction():
     with pytest.raises(InvalidArgumentError):
         OmegaSpec(strategy="random", fraction=1.2)
