@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ConfigError, InvalidArgumentError, MuxepiError
+from .errors import ConfigError, InvalidArgumentError, MuxepiError, check_range
 from .experiments import (
     ExperimentSpec,
     heatmap_experiment,
@@ -103,11 +103,7 @@ def _check(key: str, raw: str, domain, where: str, label: str):
         value = kind(raw) + 0  # + 0 turns -0.0 into 0.0, so both spellings store the same bytes
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from exc
-    if high is None and not value >= low:
-        raise ConfigError(f"{where}: {label} must be >= {low}, got {value}")
-    if high is not None and not low <= value <= high:
-        raise ConfigError(f"{where}: {label} {value} outside range [{low}, {high}]")
-    return value
+    return check_range(f"{where}: {label}", value, low, high, ConfigError)
 
 
 def _reads(sub: str, key: str) -> bool:
@@ -198,6 +194,13 @@ def parse_config(
         raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
     record = {k: given.get(k, default) for k, default in defaults.items()} | {"seed": seed}
     values = {k: v for k, v in sorted(record.items()) if v is not None}
+    n, got = values["n"], values.get  # a run that builds its own layers needs sizes that fit n
+    for key, bad, rule in (("ws_k", got("ws_k") % 2, "must be even"),
+                           ("ws_k", got("ws_k") >= n, f"must be below n ({n})"),
+                           ("ba_m", got("ba_m") > n, f"must be at most n ({n})"),
+                           ("omega_count", got("omega_count", 0) > n, f"must be at most n ({n})")):
+        if bad and "awareness_edges" not in values:
+            raise ConfigError(f"{key} {rule}, got {values[key]}")
     return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, values)
 
 
@@ -326,7 +329,8 @@ def run(config: RunConfig) -> int:
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {config.out_dir}: {exc.strerror}") from exc
+        raise ConfigError(
+            f"cannot create output directory {config.out_dir}: {exc.strerror}") from exc
     started = time.monotonic()
     outputs = []
 
@@ -350,7 +354,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS)
     parser.add_argument("--config", metavar="PATH", help="key-value config file")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, metavar="U64", help="master seed (env MUXEPI_SEED fallback)")
+    parser.add_argument(
+        "--seed", type=int, metavar="U64", help="master seed (env MUXEPI_SEED fallback)")
     parser.add_argument("--jobs", type=int, metavar="N", help="worker parallelism cap")
     parser.add_argument(
         "--set",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_range
 from .graph import MultiplexNetwork
 
 S, I, R = 0, 1, 2
@@ -54,16 +54,13 @@ class DynamicsParams:
         # mu=0 is allowed so degenerate no-recovery chains can be stepped; the
         # threshold formula requires mu > 0 and enforces it at its call site.
         for name in ("lam", "delta", "beta_u", "gamma", "mu"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidArgumentError(f"{name} must be in [0,1], got {v}")
+            check_range(name, getattr(self, name), 0.0, 1.0)
         if not 0.0 < self.initial_infected_fraction < 1.0:
             raise InvalidArgumentError(
                 "initial_infected_fraction must be in (0,1), got "
                 f"{self.initial_infected_fraction}"
             )
-        if self.max_steps < 1:
-            raise InvalidArgumentError(f"max_steps must be >= 1, got {self.max_steps}")
+        check_range("max_steps", self.max_steps, 1)
 
     @property
     def beta_a(self) -> float:

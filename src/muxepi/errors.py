@@ -23,3 +23,12 @@ class NonConvergenceError(MuxepiError):
 
 class ConfigError(MuxepiError):
     """A configuration file or flag set could not be validated."""
+
+
+def check_range(name, value, low, high=None, error=InvalidArgumentError):
+    """`value` if low <= value (<= high, when given), else `error` naming it; NaN never is."""
+    if high is None and not value >= low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise error(f"{name} {value} outside range [{low}, {high}]")
+    return value

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import A, R, DynamicsParams, run_to_absorption
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_range
 from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws, write_lines
 from .selection import OmegaSpec, select_omega
 
@@ -64,12 +64,9 @@ class ExperimentSpec:
         for name in ("lambdas", "betas"):
             _check_axis(name, getattr(self, name))
             for v in getattr(self, name):
-                if not 0.0 <= v <= 1.0:
-                    raise InvalidArgumentError(f"{name} entry {v} outside [0,1]")
-        if self.replications < 1:
-            raise InvalidArgumentError("replications must be >= 1")
-        if self.tail_window < 0:
-            raise InvalidArgumentError("tail_window must be >= 0")
+                check_range(f"{name} entry", v, 0.0, 1.0)
+        check_range("replications", self.replications, 1)
+        check_range("tail_window", self.tail_window, 0)
 
     def params(self, lam: float, beta_u: float) -> DynamicsParams:
         return DynamicsParams(

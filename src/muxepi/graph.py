@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_range
 
 __all__ = [
     "Graph",
@@ -39,9 +39,7 @@ class Graph:
     """
 
     def __init__(self, node_count: int, edges):
-        if node_count < 0:
-            raise InvalidArgumentError(f"node_count must be >= 0, got {node_count}")
-        n = self.node_count = int(node_count)
+        n = self.node_count = int(check_range("node_count", node_count, 0))
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         except ValueError as exc:  # rows of different lengths
@@ -156,8 +154,7 @@ def generate_ba(n: int, m: int, seed=None) -> Graph:
     Draws are taken in blocks but equal one `rng.integers(len(repeated))` at a
     time until m targets are distinct, and leave the Generator in that state.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"m must be >= 1, got {m}")
+    check_range("m", m, 1)
     if n < m:
         raise InvalidArgumentError(f"need n >= m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
@@ -216,10 +213,8 @@ def generate_ws(n: int, k: int, p: float, seed=None) -> Graph:
         raise InvalidArgumentError(f"k must be even, got {k}")
     if k >= n:
         raise InvalidArgumentError(f"need n > k, got n={n}, k={k}")
-    if k < 2:
-        raise InvalidArgumentError(f"k must be >= 2, got {k}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must be in [0,1], got {p}")
+    check_range("k", k, 2)
+    check_range("p", p, 0.0, 1.0)
     rng = np.random.default_rng(seed)
     random, integers = rng.random, rng.integers
     # Edge (i, j) is the key min(i,j)*n + max(i,j).

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .dynamics import DynamicsParams, omega_mask
-from .errors import InvalidArgumentError, NonConvergenceError
+from .errors import InvalidArgumentError, NonConvergenceError, check_range
 from .graph import Graph, MultiplexNetwork, write_lines
 
 __all__ = [
@@ -141,8 +141,7 @@ def _check_stop(tol: float, max_iter: int) -> None:
     after one iteration, and Lanczos would accept any Ritz value; NaN stops nothing."""
     if not 0.0 < tol < 1.0:
         raise InvalidArgumentError(f"tol must be in (0, 1), got {tol}")
-    if max_iter < 1:
-        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    check_range("max_iter", max_iter, 1)
 
 
 def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_range
 from .graph import Graph, write_lines
 
 STRATEGIES = (
@@ -45,16 +45,14 @@ class OmegaSpec:
             )
         if (self.count is None) == (self.fraction is None):
             raise InvalidArgumentError("give exactly one of count or fraction")
-        if self.count is not None and self.count < 0:
-            raise InvalidArgumentError(f"count must be >= 0, got {self.count}")
-        if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
-            raise InvalidArgumentError(f"fraction must be in [0,1], got {self.fraction}")
+        if self.count is not None:
+            check_range("count", self.count, 0)
+        if self.fraction is not None:
+            check_range("fraction", self.fraction, 0.0, 1.0)
 
     def resolved_size(self, n: int) -> int:
         if self.count is not None:
-            if self.count > n:
-                raise InvalidArgumentError(f"count {self.count} exceeds {n} nodes")
-            return self.count
+            return check_range("count", self.count, 0, n)
         return int(round(self.fraction * n))
 
 

@@ -279,8 +279,8 @@ class TestMainErrors:
         "argv, message",
         [
             (["threshold", "--set", "gamma=1.5"], "--set gamma: gamma 1.5 outside range"),
-            (["generate", "--set", "ws_k=5"], "k must be even"),
-            (["threshold", "--set", "omega_count=61"], "count 61 exceeds 60"),
+            (["generate", "--set", "ws_k=5"], "ws_k must be even, got 5"),
+            (["threshold", "--set", "omega_count=61"], "omega_count must be at most n (60), got 61"),
             (["heatmap", "--set", "replications=0", "--set", "betas=0.2"], "replications"),
             (["threshold", "--set", "tol=0"], "tol"),
             (["mmca", "--set", "tol=0"], "tol"),
@@ -356,6 +356,10 @@ class TestMainErrors:
              "omega_count and omega_fraction are both given"),
             (["heatmap", "--set", "beta_a=0.1"], "--set beta_a: unknown key 'beta_a'"),
             (["threshold", "--set", "beta_u=0.1"], "--set beta_u: threshold reads no beta_u"),
+            (["generate", "--set", "ws_k=60"], "ws_k must be below n (60), got 60"),
+            (["timeseries", "--set", "ba_m=61"], "ba_m must be at most n (60), got 61"),
+            (["threshold", "--set", "awareness_edges=ring.edges", "--set", "contact_edges=ring.edges",
+              "--set", "omega_count=4"], "count 4 outside range [0, 3]"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -375,7 +379,8 @@ class TestMainErrors:
              "generate_omega_fraction_above_one", "generate_nan_initial_infected_fraction",
              "nul_in_path", "empty_awareness_edges", "empty_contact_edges", "empty_set_out",
              "empty_config_out", "omega_count_with_fraction", "heatmap_omega_fraction_with_count",
-             "removed_beta_a", "threshold_beta_u"],
+             "removed_beta_a", "threshold_beta_u", "ws_k_not_below_n", "ba_m_above_n",
+             "omega_count_above_edge_file_nodes"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -411,6 +416,30 @@ class TestMainErrors:
         assert main(["threshold", "--out", str(out), "--set", "n=60", "--set", f"{key}=a.edges"]) == 2
         assert "awareness_edges and contact_edges go together" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [(["n=60", "ws_k=5"], "ws_k must be even, got 5"),
+         (["n=60", "ws_k=60"], "ws_k must be below n (60), got 60"),
+         (["n=60", "ba_m=61"], "ba_m must be at most n (60), got 61"),
+         (["n=10"], "omega_count must be at most n (10), got 20")],
+        ids=["odd_ws_k", "ws_k_not_below_n", "ba_m_above_n", "default_omega_count_above_n"],
+    )
+    def test_size_that_does_not_fit_n_exits_before_out_exists(self, sets, message, tmp_path,
+                                                              capsys):
+        out = tmp_path / "fresh"
+        argv = ["heatmap", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"muxepi: config error: {message}\n"
+        assert not out.exists()
+
+    def test_edge_files_skip_the_generator_size_rules(self, tmp_path):
+        (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        ring, out = tmp_path / "ring.edges", tmp_path / "thr"
+        argv = ["threshold", "--out", str(out), "--set", f"awareness_edges={ring}",
+                "--set", f"contact_edges={ring}", "--set", "ws_k=5"]
+        assert main(argv) == 0
+        assert (out / "threshold.csv").exists()
 
     @pytest.mark.parametrize("subcommand", ["heatmap", "timeseries", "sweep"])
     @pytest.mark.parametrize(
@@ -505,7 +534,8 @@ class TestReadSets:
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_key_is_read_or_rejected(self, subcommand, key, tmp_path):
         declared = _AXES.get(key, key) in _COMMANDS[subcommand][1]
-        value = sample(_KEYS.get(key, (float, 0.0, 1.0)))
+        # n's floor of 1 is below the default layer sizes, which parse_config checks against n.
+        value = "60" if key == "n" else sample(_KEYS.get(key, (float, 0.0, 1.0)))
         common = write_config(tmp_path, f"{key} = {value}\n", "common.cfg")
         section = write_config(tmp_path, f"[{subcommand}]\n{key} = {value}\n", "section.cfg")
         if key not in _KEYS:

@@ -1,4 +1,5 @@
 from copy import deepcopy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -45,10 +46,15 @@ class TestParams:
         assert p.beta_a == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
-        "bad", [dict(lam=1.5), dict(beta_u=-0.1), dict(gamma=2.0), dict(max_steps=0)])
-    def test_rejects_out_of_range(self, bad):
-        [(key, value)] = bad.items()
-        with pytest.raises(InvalidArgumentError, match=rf"^{key} must be .*, got {value}$"):
+        "bad, message",
+        [(dict(lam=1.5), "lam 1.5 outside range [0.0, 1.0]"),
+         (dict(beta_u=-0.1), "beta_u -0.1 outside range [0.0, 1.0]"),
+         (dict(gamma=2.0), "gamma 2.0 outside range [0.0, 1.0]"),
+         (dict(max_steps=0), "max_steps must be >= 1, got 0"),
+         (dict(max_steps=float("nan")), "max_steps must be >= 1, got nan")],
+        ids=["bad0", "bad1", "bad2", "bad3", "bad4"])
+    def test_rejects_out_of_range(self, bad, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             default_params(**bad)
 
     def test_rejects_bad_seed_fraction(self):

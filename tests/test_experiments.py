@@ -76,9 +76,11 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             small_spec(lambdas=(1.5,))
 
-    @pytest.mark.parametrize("key, value, floor", [("replications", 0, 1), ("tail_window", -1, 0)])
+    @pytest.mark.parametrize("key, value, floor", [
+        ("replications", 0, 1), ("tail_window", -1, 0),
+        ("replications", float("nan"), 1), ("tail_window", float("nan"), 0)])
     def test_count_below_its_floor_rejected(self, key, value, floor):
-        with pytest.raises(InvalidArgumentError, match=f"^{key} must be >= {floor}$"):
+        with pytest.raises(InvalidArgumentError, match=f"^{key} must be >= {floor}, got {value}$"):
             ExperimentSpec(**{key: value})
 
     def test_bad_sweep_fraction_rejected(self):

@@ -41,6 +41,10 @@ class TestGraph:
         with pytest.raises(InvalidArgumentError):
             Graph(3, [(0, 3)])
 
+    def test_nan_node_count_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^node_count must be >= 0, got nan$"):
+            Graph(float("nan"), [])
+
     def test_undirected_adjacency(self):
         g = Graph(3, [(0, 1)])
         assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
@@ -126,6 +130,10 @@ class TestGenerateBA:
     def test_zero_m_rejected(self):
         with pytest.raises(InvalidArgumentError, match=r"^m must be >= 1, got 0$"):
             generate_ba(10, 0)
+
+    def test_nan_m_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^m must be >= 1, got nan$"):
+            generate_ba(10, float("nan"))
 
     def test_seed_clique_only(self):
         g = generate_ba(4, 4, seed=0)

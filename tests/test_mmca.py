@@ -356,7 +356,7 @@ class TestRun:
         assert state.rho()["rho_r"] > 0.9
 
     @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100),
-                                               (1.0, 100), (1e300, 100)])
+                                               (1.0, 100), (1e300, 100), (1e-9, np.nan)])
     def test_fixed_points_reject_unreachable_stop(self, tol, max_iter):
         # tol >= 1 would stop after one iteration: no probability moves by 1.
         net = small_net(60, seed=5)

@@ -37,3 +37,11 @@ def test_package_imports_exist_and_are_exported():
         assert getattr(muxepi, name) is getattr(mod, name), (module, name)
         if module in MODULES:
             assert name in mod.__all__, (module, name)
+
+
+def test_source_lines_fit_in_100_characters():
+    long = [(path.name, lineno, len(line))
+            for path in sorted(Path(muxepi.__file__).parent.glob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if len(line) > 100]
+    assert long == []

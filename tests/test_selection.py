@@ -27,6 +27,11 @@ def test_negative_count():
         OmegaSpec(strategy="random", count=-1)
 
 
+def test_nan_count():
+    with pytest.raises(InvalidArgumentError, match=r"^count must be >= 0, got nan$"):
+        OmegaSpec(strategy="random", count=float("nan"))
+
+
 def test_bad_fraction():
     with pytest.raises(InvalidArgumentError):
         OmegaSpec(strategy="random", fraction=1.2)
