@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_range
+from .errors import InvalidArgumentError, check_count, check_range
 from .graph import MultiplexNetwork
 
 S, I, R = 0, 1, 2
@@ -60,7 +60,7 @@ class DynamicsParams:
                 "initial_infected_fraction must be in (0,1), got "
                 f"{self.initial_infected_fraction}"
             )
-        check_range("max_steps", self.max_steps, 1)
+        check_count("max_steps", self.max_steps, 1)
 
     @property
     def beta_a(self) -> float:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from numbers import Integral
+
 
 class MuxepiError(Exception):
     """Base class for all errors raised by muxepi."""
@@ -31,4 +33,13 @@ def check_range(name, value, low, high=None, error=InvalidArgumentError):
         raise error(f"{name} must be >= {low}, got {value}")
     if high is not None and not low <= value <= high:
         raise error(f"{name} {value} outside range [{low}, {high}]")
+    return value
+
+
+def check_count(name, value, low, high=None):
+    """`value` if it passes `check_range` and is a whole number, else
+    InvalidArgumentError naming it: NaN, inf and 2.5 are not counts."""
+    check_range(name, value, low, high)
+    if not isinstance(value, Integral) and not (isinstance(value, float) and value.is_integer()):
+        raise InvalidArgumentError(f"{name} must be a whole number, got {value}")
     return value

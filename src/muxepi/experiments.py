@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import A, R, DynamicsParams, run_to_absorption
-from .errors import InvalidArgumentError, check_range
+from .errors import InvalidArgumentError, check_count, check_range
 from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws, write_lines
 from .selection import OmegaSpec, select_omega
 
@@ -65,8 +65,9 @@ class ExperimentSpec:
             _check_axis(name, getattr(self, name))
             for v in getattr(self, name):
                 check_range(f"{name} entry", v, 0.0, 1.0)
-        check_range("replications", self.replications, 1)
-        check_range("tail_window", self.tail_window, 0)
+        for name, low in (("n", 1), ("ba_m", 1), ("ws_k", 2), ("max_steps", 1),
+                          ("replications", 1), ("tail_window", 0)):
+            check_count(name, getattr(self, name), low)
 
     def params(self, lam: float, beta_u: float) -> DynamicsParams:
         return DynamicsParams(

@@ -10,11 +10,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_range
+from .errors import InvalidArgumentError, check_count, check_range
 
 __all__ = [
     "Graph",
@@ -39,7 +39,7 @@ class Graph:
     """
 
     def __init__(self, node_count: int, edges):
-        n = self.node_count = int(check_range("node_count", node_count, 0))
+        n = self.node_count = int(check_count("node_count", node_count, 0))
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         except ValueError as exc:  # rows of different lengths
@@ -154,7 +154,8 @@ def generate_ba(n: int, m: int, seed=None) -> Graph:
     Draws are taken in blocks but equal one `rng.integers(len(repeated))` at a
     time until m targets are distinct, and leave the Generator in that state.
     """
-    check_range("m", m, 1)
+    check_count("m", m, 1)
+    check_count("n", n, 0)
     if n < m:
         raise InvalidArgumentError(f"need n >= m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
@@ -209,11 +210,12 @@ def generate_ws(n: int, k: int, p: float, seed=None) -> Graph:
     edge is rewired with probability p to a uniform non-self, non-duplicate
     target. Edge count is exactly n*k/2 for every p.
     """
+    check_count("n", n, 0)
     if k % 2 != 0:
         raise InvalidArgumentError(f"k must be even, got {k}")
     if k >= n:
         raise InvalidArgumentError(f"need n > k, got n={n}, k={k}")
-    check_range("k", k, 2)
+    check_count("k", k, 2)
     check_range("p", p, 0.0, 1.0)
     rng = np.random.default_rng(seed)
     random, integers = rng.random, rng.integers
@@ -334,10 +336,19 @@ def clustering_coefficients(g: Graph) -> np.ndarray:
     return np.divide(twice_links, d * (d - 1), out=np.zeros(g.node_count), where=d >= 2)
 
 
+# Lines that write_lines joins into one write: one call per chunk, not per
+# line, with memory bounded by the chunk.
+_WRITE_CHUNK = 1024
+
+
 def write_lines(path, lines) -> None:
-    """Stream each of `lines` and a newline to `path` as ASCII: every output file's one writer."""
+    """Stream each string of `lines` and a newline to `path` as ASCII, a chunk
+    of lines a write: every output file's one writer."""
+    lines = iter(lines)
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+        while chunk := list(islice(lines, _WRITE_CHUNK)):
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .dynamics import DynamicsParams, omega_mask
-from .errors import InvalidArgumentError, NonConvergenceError, check_range
+from .errors import InvalidArgumentError, NonConvergenceError, check_count
 from .graph import Graph, MultiplexNetwork, write_lines
 
 __all__ = [
@@ -102,9 +102,12 @@ def _neighbor_product(adj, factors: np.ndarray) -> np.ndarray:
 
     Factors are at most 1, so no log is +inf; a factor <= 0 has log -inf,
     which makes its rows' sums -inf and their products exp(-inf) = +0.0.
+    Clamps and logs `factors` in place, so the caller must own it.
     """
+    np.maximum(factors, 0.0, out=factors)
     with np.errstate(divide="ignore"):
-        out = adj @ np.log(np.maximum(factors, 0.0))
+        np.log(factors, out=factors)
+    out = adj @ factors
     return np.exp(out, out=out)
 
 
@@ -141,21 +144,30 @@ def _check_stop(tol: float, max_iter: int) -> None:
     after one iteration, and Lanczos would accept any Ritz value; NaN stops nothing."""
     if not 0.0 < tol < 1.0:
         raise InvalidArgumentError(f"tol must be in (0, 1), got {tol}")
-    check_range("max_iter", max_iter, 1)
+    check_count("max_iter", max_iter, 1)
 
 
 def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
-    """Apply step from x until no entry of arrays(x) moves by tol or more."""
+    """Apply step from x until no entry of arrays(x) moves by tol or more.
+
+    Each test stops at the first array that still moves; a NaN change counts
+    as moving. Only the error takes the largest change over all arrays, NaN
+    if any is.
+    """
     _check_stop(tol, max_iter)
-    change = np.inf
+
+    def changes():
+        return (np.max(np.abs(a - b)) for a, b in zip(arrays(x), arrays(prev)))
+
     for _ in range(max_iter):
-        nxt = step(x)
-        change = max(float(np.max(np.abs(a - b))) for a, b in zip(arrays(nxt), arrays(x)))
-        x = nxt
-        if change < tol:
+        prev = x  # rebound first, so no third iterate lives through the step
+        x = step(prev)
+        if not any(not d < tol for d in changes()):
             return x
     raise NonConvergenceError(
-        f"{what} not reached within {max_iter} iterations", last_iterate=x, residual=change
+        f"{what} not reached within {max_iter} iterations",
+        last_iterate=x,
+        residual=float(np.max(list(changes()))),
     )
 
 
@@ -182,10 +194,16 @@ def mmca_rates(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams):
     r is 1 on silenced nodes, which must hold p_as = p_ar = 0."""
     a_live = _run_constants(state, net, params)[3]
     b_mat = net.contact_layer.adjacency()
-    # p_as + p_i + p_ar is p_a on every column a_live keeps.
-    r = _neighbor_product(a_live, 1.0 - params.lam * (state.p_as + state.p_i + state.p_ar))
-    q_a = _neighbor_product(b_mat, 1.0 - params.beta_a * state.p_i)
-    q_u = _neighbor_product(b_mat, 1.0 - params.beta_u * state.p_i)
+    # Each factor array is built once, in place; p_as + p_i + p_ar is p_a on
+    # every column a_live keeps.
+    inform = state.p_as + state.p_i
+    inform += state.p_ar
+    inform *= params.lam
+    r = _neighbor_product(a_live, np.subtract(1.0, inform, out=inform))
+    infect_a = params.beta_a * state.p_i
+    q_a = _neighbor_product(b_mat, np.subtract(1.0, infect_a, out=infect_a))
+    infect_u = params.beta_u * state.p_i
+    q_u = _neighbor_product(b_mat, np.subtract(1.0, infect_u, out=infect_u))
     return r, q_a, q_u
 
 
@@ -193,30 +211,32 @@ def mmca_step(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -
     """Advance every node's joint-state distribution by one step.
 
     Silenced nodes forget at once (delta = 1); with r = 1 from mmca_rates
-    they keep p_as = p_ar = 0.
+    they keep p_as = p_ar = 0. The state must hold that: the products of
+    p_as and p_ar take the ordinary nodes' scalar delta, which is exact only
+    where those components are +0.0 on silenced nodes.
     """
     run = _run_constants(state, net, params)
     if run is not state.run:
         state = replace(state, run=run)
     r, q_a, q_u = mmca_rates(state, net, params)
     delta, keep = run[4:]
-    mu = params.mu
+    delta_s, keep_s, mu = params.delta, 1.0 - params.delta, params.mu
     p_us, p_as, p_i, p_ur, p_ar = state.p_us, state.p_as, state.p_i, state.p_ur, state.p_ar
     not_r, not_qa, not_qu = 1.0 - r, 1.0 - q_a, 1.0 - q_u
 
     # Each sum adds its terms left to right, in place to spare temporaries.
-    n_as = p_as * keep * q_a
+    n_as = p_as * keep_s * q_a
     n_as += p_us * not_r * q_a
-    n_us = p_as * delta * q_u
+    n_us = p_as * delta_s * q_u
     n_us += p_us * r * q_u
-    n_i = p_as * (keep * not_qa + delta * not_qu)
+    n_i = p_as * (keep_s * not_qa + delta_s * not_qu)
     n_i += p_us * (r * not_qu + not_r * not_qa)
     n_i += p_i * (1.0 - mu)
     n_ar = p_i * keep * mu
-    n_ar += p_ar * keep
+    n_ar += p_ar * keep_s
     n_ar += p_ur * not_r
     n_ur = p_i * delta * mu
-    n_ur += p_ar * delta
+    n_ur += p_ar * delta_s
     n_ur += p_ur * r
     return MmcaState(
         p_us=n_us,

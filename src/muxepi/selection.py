@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_range
+from .errors import InvalidArgumentError, check_count, check_range
 from .graph import Graph, write_lines
 
 STRATEGIES = (
@@ -46,7 +46,7 @@ class OmegaSpec:
         if (self.count is None) == (self.fraction is None):
             raise InvalidArgumentError("give exactly one of count or fraction")
         if self.count is not None:
-            check_range("count", self.count, 0)
+            check_count("count", self.count, 0)
         if self.fraction is not None:
             check_range("fraction", self.fraction, 0.0, 1.0)
 
@@ -73,4 +73,4 @@ def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
 
 def write_omega_set(nodes, path) -> None:
     """One node index per line, for audit and replay."""
-    write_lines(path, (int(i) for i in nodes))
+    write_lines(path, (str(int(i)) for i in nodes))

@@ -57,6 +57,11 @@ class TestParams:
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             default_params(**bad)
 
+    def test_rejects_fractional_max_steps(self):
+        message = r"^max_steps must be a whole number, got 2.5$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            default_params(max_steps=2.5)
+
     def test_rejects_bad_seed_fraction(self):
         with pytest.raises(InvalidArgumentError):
             default_params(initial_infected_fraction=0.0)

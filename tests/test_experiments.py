@@ -83,6 +83,15 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match=f"^{key} must be >= {floor}, got {value}$"):
             ExperimentSpec(**{key: value})
 
+    def test_nan_network_size_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^n must be >= 1, got nan$"):
+            ExperimentSpec(n=float("nan"))
+
+    @pytest.mark.parametrize("key", ["replications", "tail_window"])
+    def test_fractional_count_rejected(self, key):
+        with pytest.raises(InvalidArgumentError, match=f"^{key} must be a whole number, got 2.5$"):
+            ExperimentSpec(**{key: 2.5})
+
     def test_bad_sweep_fraction_rejected(self):
         with pytest.raises(InvalidArgumentError):
             omega_ratio_sweep(small_spec(), ["random"], [0.0, 1.5])

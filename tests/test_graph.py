@@ -135,6 +135,10 @@ class TestGenerateBA:
         with pytest.raises(InvalidArgumentError, match=r"^m must be >= 1, got nan$"):
             generate_ba(10, float("nan"))
 
+    def test_nan_n_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^n must be >= 0, got nan$"):
+            generate_ba(float("nan"), 4)
+
     def test_seed_clique_only(self):
         g = generate_ba(4, 4, seed=0)
         assert g == complete_graph(4)
@@ -183,6 +187,10 @@ class TestGenerateWS:
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidArgumentError, match=r"^k must be >= 2, got 0$"):
             generate_ws(10, 0, 0.1)
+
+    def test_nan_n_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^n must be >= 0, got nan$"):
+            generate_ws(float("nan"), 4, 0.1)
 
     def test_bad_p_rejected(self):
         with pytest.raises(InvalidArgumentError):

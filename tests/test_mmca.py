@@ -372,6 +372,75 @@ class TestRun:
         assert isinstance(exc.value.last_iterate, MmcaState)
 
 
+class TestInputsUnchanged:
+    """A step builds new arrays: every array of the state it reads keeps its bits."""
+
+    @staticmethod
+    def silenced_run():
+        net = small_net(200, seed=1)
+        params = default_params(lam=0.8, beta_u=0.4)
+        state = init_mmca(net, range(0, 200, 7), params)
+        for _ in range(20):
+            state = mmca_step(state, net, params)
+        return net, params, state
+
+    @staticmethod
+    def read_arrays(state, net):
+        stored = [getattr(state, c) for c in ("p_us", "p_as", "p_i", "p_ur", "p_ar", "omega")]
+        return stored + [*state.run[4:], state.run[3].data, net.contact_layer.adjacency().data]
+
+    def test_rates_and_step_leave_their_state(self):
+        net, params, state = self.silenced_run()
+        kept = [a.copy() for a in self.read_arrays(state, net)]
+        mmca_rates(state, net, params)
+        mmca_step(state, net, params)
+        for k, (got, want) in enumerate(zip(self.read_arrays(state, net), kept)):
+            assert_bit_equal(got, want, k)
+
+    def test_awareness_step_leaves_its_input(self, monkeypatch):
+        net, params, state = self.silenced_run()
+        calls = []
+
+        def one_step(step, p, *_):
+            kept = p.copy()
+            step(p)
+            calls.append((p, kept))
+            return p
+
+        monkeypatch.setattr(mmca, "_fixed_point", one_step)
+        uau_steady_state(net, params, omega_set=np.flatnonzero(state.omega), init=0.3)
+        [(p, kept)] = calls
+        assert (p[state.omega] == 0.0).all() and (p[~state.omega] == 0.3).all()
+        assert_bit_equal(p, kept, "p")
+
+
+class TestFixedPointStop:
+    """The stop test quits at the first array that still moves; the error
+    reports the largest change over all of them."""
+
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_change_keeps_iterating(self, nan_at):
+        def arrays(k):
+            pair = [np.zeros(3), np.zeros(3)]
+            pair[nan_at][1] = np.nan
+            return pair
+
+        with pytest.raises(NonConvergenceError) as exc:
+            mmca._fixed_point(lambda k: k + 1, 0, arrays, 1e-9, 5, "fake")
+        assert exc.value.last_iterate == 5
+        assert np.isnan(exc.value.residual)
+
+    def test_residual_is_the_largest_change_over_all_arrays(self):
+        # The first array still moves, which ends each stop test; the second moves most.
+        def arrays(k):
+            return np.array([0.0, 1e-3 * k]), np.array([0.25 * k, 0.0])
+
+        with pytest.raises(NonConvergenceError) as exc:
+            mmca._fixed_point(lambda k: k + 1, 0, arrays, 1e-9, 4, "fake")
+        assert exc.value.last_iterate == 4
+        assert exc.value.residual == 0.25
+
+
 class TestUauSteadyState:
     def test_zero_lambda_dies_out(self):
         p = uau_steady_state(small_net(), default_params(lam=0.0), tol=1e-12)

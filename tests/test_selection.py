@@ -32,6 +32,11 @@ def test_nan_count():
         OmegaSpec(strategy="random", count=float("nan"))
 
 
+def test_fractional_count():
+    with pytest.raises(InvalidArgumentError, match=r"^count must be a whole number, got 2.5$"):
+        OmegaSpec(strategy="degree_top", count=2.5)
+
+
 def test_bad_fraction():
     with pytest.raises(InvalidArgumentError):
         OmegaSpec(strategy="random", fraction=1.2)
