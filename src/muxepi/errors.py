@@ -36,10 +36,10 @@ def check_range(name, value, low, high=None, error=InvalidArgumentError):
     return value
 
 
-def check_count(name, value, low, high=None):
+def check_count(name, value, low):
     """`value` if it passes `check_range` and is a whole number, else
     InvalidArgumentError naming it: NaN, inf and 2.5 are not counts."""
-    check_range(name, value, low, high)
+    check_range(name, value, low)
     if not isinstance(value, Integral) and not (isinstance(value, float) and value.is_integer()):
         raise InvalidArgumentError(f"{name} must be a whole number, got {value}")
     return value

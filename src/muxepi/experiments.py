@@ -65,8 +65,7 @@ class ExperimentSpec:
             _check_axis(name, getattr(self, name))
             for v in getattr(self, name):
                 check_range(f"{name} entry", v, 0.0, 1.0)
-        for name, low in (("n", 1), ("ba_m", 1), ("ws_k", 2), ("max_steps", 1),
-                          ("replications", 1), ("tail_window", 0)):
+        for name, low in (("n", 1), ("replications", 1), ("tail_window", 0)):
             check_count(name, getattr(self, name), low)
 
     def params(self, lam: float, beta_u: float) -> DynamicsParams:

@@ -78,14 +78,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("key, value, floor", [
         ("replications", 0, 1), ("tail_window", -1, 0),
-        ("replications", float("nan"), 1), ("tail_window", float("nan"), 0)])
+        ("replications", float("nan"), 1), ("tail_window", float("nan"), 0),
+        ("n", float("nan"), 1)])
     def test_count_below_its_floor_rejected(self, key, value, floor):
         with pytest.raises(InvalidArgumentError, match=f"^{key} must be >= {floor}, got {value}$"):
             ExperimentSpec(**{key: value})
-
-    def test_nan_network_size_rejected(self):
-        with pytest.raises(InvalidArgumentError, match=r"^n must be >= 1, got nan$"):
-            ExperimentSpec(n=float("nan"))
 
     @pytest.mark.parametrize("key", ["replications", "tail_window"])
     def test_fractional_count_rejected(self, key):
