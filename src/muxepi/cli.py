@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import __version__
 from .errors import ConfigError, InvalidArgumentError, MuxepiError, check_range
@@ -28,9 +29,8 @@ from .experiments import (
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import (  # noqa: F401
     build_multiplex, generate_ba, read_edge_list, write_edge_list, write_lines)
-from .mmca import (
-    COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run, write_node_csv, write_threshold_csv)
-from .selection import STRATEGIES, OmegaSpec, write_omega_set
+from .mmca import COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run
+from .selection import STRATEGIES, OmegaSpec
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 _SPEC = ExperimentSpec()  # the model's defaults, each written once, in experiments.py
@@ -201,6 +201,8 @@ def parse_config(
                            ("omega_count", got("omega_count", 0) > n, f"must be at most n ({n})")):
         if bad and "awareness_edges" not in values:
             raise ConfigError(f"{key} {rule}, got {values[key]}")
+    if sub == "threshold" and values["mu"] == 0:  # beta_c = mu / Lambda_max would be 0
+        raise ConfigError(f"mu must be above 0 for threshold, got {values['mu']}")
     return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, values)
 
 
@@ -250,51 +252,75 @@ def _mmca_inputs(config: RunConfig):
     """The multiplex, parameters and replication 0's silenced set of threshold and mmca."""
     spec = _experiment_spec(config)
     net = _networks(config)
+    if not net.node_count:  # no node to average over, and no spectrum
+        raise InvalidArgumentError(f"{config.get('awareness_edges')}: the multiplex has no node")
     omega_set = replication_omega(spec.omega, net.awareness_layer, config.seed)
     return net, spec.params(spec.only("lambdas"), spec.only("betas")), omega_set
+
+
+def _write_nodes(path, names, columns) -> None:
+    """A `node,<names>` header, then one row per node of each column's float repr."""
+    rows = zip(*(c.tolist() for c in columns))
+    write_lines(path, chain([",".join(("node", *names))],
+                            (f"{i},{','.join(map(repr, row))}" for i, row in enumerate(rows))))
 
 
 def _threshold(config: RunConfig, out) -> dict:
     net, params, omega_set = _mmca_inputs(config)
     result = epidemic_threshold(net, params, omega_set=omega_set, tol=config.get("tol"))
-    write_threshold_csv(result, params, out("threshold.csv"))
-    write_node_csv(out("p_a.csv"), ("p_a",), (result.p_a,))
-    if len(omega_set):
-        write_omega_set(omega_set, out("omega.txt"))
+    values = (params.gamma, params.lam, params.delta, params.mu, result.lambda_max, result.beta_c)
+    write_lines(out("threshold.csv"),
+                ("gamma,lambda,delta,mu,lambda_max_H,beta_c", ",".join(map(repr, values))))
+    _write_nodes(out("p_a.csv"), ("p_a",), (result.p_a,))
+    if len(omega_set):  # one node index a line, for audit and replay
+        write_lines(out("omega.txt"), map(str, omega_set.tolist()))
     return {"beta_c": result.beta_c, "lambda_max_H": result.lambda_max}
 
 
 def _mmca(config: RunConfig, out) -> dict:
     net, params, omega_set = _mmca_inputs(config)
     state = mmca_run(net, omega_set, params, tol=config.get("tol"))
-    write_node_csv(out("mmca_states.csv"), COMPONENTS, [getattr(state, c) for c in COMPONENTS])
+    _write_nodes(out("mmca_states.csv"), COMPONENTS, [getattr(state, c) for c in COMPONENTS])
     if len(omega_set):
-        write_omega_set(omega_set, out("omega.txt"))
+        write_lines(out("omega.txt"), map(str, omega_set.tolist()))
     return {**state.rho(), "iterations": state.step}
 
 
-def _experiment_outputs(config: RunConfig, result, path) -> dict:
-    """Line 1 of the CSV is the run's record, as the manifest's config holds it."""
+def _experiment_outputs(config: RunConfig, result, path, columns: str, rows=None) -> dict:
+    """Write the experiment's CSV: line 1 is `# ` and the run's record, as the manifest's
+    config holds it, then `columns` and each row, ending in the replication count. The
+    rows default to each (rows[i], cols[j]) cell's labels and final rho_R mean and std."""
+    if rows is None:
+        means, stds = result.mean_rho_r.tolist(), result.std_rho_r.tolist()
+        rows = (f"{r},{c},{means[i][j]!r},{stds[i][j]!r}"
+                for i, r in enumerate(result.rows) for j, c in enumerate(result.cols))
     record = json.dumps(config.values, separators=(",", ":"))
-    result.write_csv(path, f"muxepi v{__version__} config={record}")
+    head = [f"# muxepi v{__version__} config={record}", f"{columns},replications"]
+    reps = config.get("replications")
+    write_lines(path, chain(head, (f"{row},{reps}" for row in rows)))
     return {"non_absorbed_runs": result.non_absorbed}
 
 
 # The runners look the experiments up when called, so a wrapper patched in later is the one run.
 def _heatmap(config: RunConfig, out) -> dict:
     result = heatmap_experiment(_experiment_spec(config), jobs=config.jobs)
-    return _experiment_outputs(config, result, out("heatmap.csv"))
+    return _experiment_outputs(config, result, out("heatmap.csv"),
+                               "lambda,beta_u,mean_rho_r,std_rho_r")
 
 
 def _timeseries(config: RunConfig, out) -> dict:
     result = timeseries_experiment(_experiment_spec(config), jobs=config.jobs)
-    return _experiment_outputs(config, result, out("timeseries.csv"))
+    rows = (f"{beta},{t},{rr!r},{ra!r}" for j, beta in enumerate(result.cols)
+            for t, (rr, ra) in enumerate(result.mean_curves(j).tolist()))
+    return _experiment_outputs(config, result, out("timeseries.csv"),
+                               "beta_u,step,rho_R,rho_A", rows)
 
 
 def _sweep(config: RunConfig, out) -> dict:
     strategies, fractions = config.get("strategies"), config.get("fractions")
     result = omega_ratio_sweep(_experiment_spec(config), strategies, fractions, jobs=config.jobs)
-    return _experiment_outputs(config, result, out("sweep.csv"))
+    return _experiment_outputs(config, result, out("sweep.csv"),
+                               "strategy,fraction,mean_rho_r,std_rho_r")
 
 
 def _model(*keys) -> dict:

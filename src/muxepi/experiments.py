@@ -4,27 +4,25 @@ Every run is reproducible from (spec, master_seed): seeds are derived through
 named spawn keys. A replication's multiplex and random silenced set are keyed
 on the replication alone, so every cell of a replication runs on them; each
 (cell, replication) run draws its dynamics from (experiment kind, cell,
-replication). Output files are byte-identical across re-runs and worker counts.
+replication). Results are bit-identical across re-runs and worker counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import A, R, DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError, check_count, check_range
-from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws, write_lines
+from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
 
 __all__ = [
     "ExperimentSpec",
     "GridResult",
     "RunRecord",
-    "TimeseriesResult",
     "heatmap_experiment",
     "timeseries_experiment",
     "omega_ratio_sweep",
@@ -197,24 +195,12 @@ def _pad_forward(curves: list[np.ndarray]) -> np.ndarray:
     return np.array([np.pad(c, ((0, length - len(c)), (0, 0)), mode="edge") for c in curves])
 
 
-def _write_csv(path, header: str, spec: ExperimentSpec, columns: str, rows) -> None:
-    """`header` as a comment line, then the columns and each row with the replication count."""
-    lines = (f"{row},{spec.replications}" for row in rows)
-    write_lines(path, chain([f"# {header}", f"{columns},replications"], lines))
-
-
-def _label(value) -> str:
-    """A strategy as is, a number as its float repr: 0 and np.float64(0) give 0.0."""
-    return value if isinstance(value, str) else repr(float(value))
-
-
 @dataclass
 class GridResult:
     """Each cell's replication records, and the mean and std of their final rho_R;
-    cell (i, j) is (rows[i], cols[j]): (lambda, beta_u) or (strategy, fraction)."""
+    cell (i, j) is (rows[i], cols[j]): (lambda, beta_u) or (strategy, fraction),
+    and a time series' (lambda,) x betas, whose records carry their curves."""
 
-    spec: ExperimentSpec
-    columns: str  # the CSV column header
     rows: tuple
     cols: tuple
     runs: list  # cell (i, j)'s tuple of RunRecords is runs[i * len(cols) + j]
@@ -230,44 +216,23 @@ class GridResult:
     def curve(self, row) -> np.ndarray:
         return self.mean_rho_r[self.rows.index(row)]
 
-    def write_csv(self, path, header: str) -> None:
-        lines = (
-            f"{_label(r)},{_label(c)},{float(self.mean_rho_r[i, j])!r},"
-            f"{float(self.std_rho_r[i, j])!r}"
-            for i, r in enumerate(self.rows)
-            for j, c in enumerate(self.cols)
-        )
-        _write_csv(path, header, self.spec, self.columns, lines)
-
-
-class TimeseriesResult(GridResult):
-    """A grid over (lambda,) x betas whose records carry their curves."""
-
     def mean_curves(self, j: int) -> np.ndarray:
-        """Replication means of betas[j]'s (steps, 2) rho_R and rho_A curves."""
+        """Replication means of a time series' cell j's (steps, 2) rho_R and rho_A curves."""
         return _pad_forward([r.curves for r in self.runs[j]]).mean(axis=0)
-
-    def write_csv(self, path, header: str) -> None:
-        rows = (
-            f"{_label(beta)},{t},{float(rr)!r},{float(ra)!r}"
-            for j, beta in enumerate(self.cols)
-            for t, (rr, ra) in enumerate(self.mean_curves(j))
-        )
-        _write_csv(path, header, self.spec, self.columns, rows)
 
 
 def heatmap_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     """Mean final recovered fraction over the (lambda, beta_u) grid."""
     cells = [(spec.omega, lam, beta) for lam in spec.lambdas for beta in spec.betas]
     runs = _run_grid(spec, _KIND_HEATMAP, cells, jobs)
-    return GridResult(spec, "lambda,beta_u,mean_rho_r,std_rho_r", spec.lambdas, spec.betas, runs)
+    return GridResult(spec.lambdas, spec.betas, runs)
 
 
-def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> TimeseriesResult:
+def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     """Replication-averaged rho_R(t) / rho_A(t) curves at the one lambda, for each beta_u."""
     lam = spec.only("lambdas")
     runs = _run_grid(spec, _KIND_TIMESERIES, [(spec.omega, lam, b) for b in spec.betas], jobs)
-    return TimeseriesResult(spec, "beta_u,step,rho_R,rho_A", spec.lambdas, spec.betas, runs)
+    return GridResult(spec.lambdas, spec.betas, runs)
 
 
 def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> GridResult:
@@ -279,4 +244,4 @@ def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1
     lam, beta = spec.only("lambdas"), spec.only("betas")
     cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s in strategies for f in fractions]
     runs = _run_grid(spec, _KIND_SWEEP, cells, jobs)
-    return GridResult(spec, "strategy,fraction,mean_rho_r,std_rho_r", strategies, fractions, runs)
+    return GridResult(strategies, fractions, runs)

@@ -388,6 +388,7 @@ def _read_edge_text(path) -> Graph:
         fh.seek(body)
         for lineno, line in enumerate(fh, start=2):
             fields = line.split("#", 1)[0].split()
-            if fields and not (len(fields) == 2 and all(f.lstrip("+-").isdigit() for f in fields)):
+            unsigned = [f[f[0] in "+-":] for f in fields]  # drops at most one leading sign
+            if fields and not (len(fields) == 2 and all(f.isdigit() for f in unsigned)):
                 raise InvalidArgumentError(f"{path}:{lineno}: expected 'i j', got {line.strip()!r}")
     raise InvalidArgumentError(f"{path}: node indices must fit in int64")

@@ -10,13 +10,12 @@ once), so it is never aware and its infected mass stays unaware.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from .dynamics import DynamicsParams, omega_mask
 from .errors import InvalidArgumentError, NonConvergenceError, check_count
-from .graph import Graph, MultiplexNetwork, write_lines
+from .graph import Graph, MultiplexNetwork
 
 __all__ = [
     "MmcaState",
@@ -29,8 +28,6 @@ __all__ = [
     "build_h_matrix",
     "leading_eigenvalue",
     "epidemic_threshold",
-    "write_threshold_csv",
-    "write_node_csv",
     "COMPONENTS",
 ]
 
@@ -151,13 +148,13 @@ def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
     """Apply step from x until no entry of arrays(x) moves by tol or more.
 
     Each test stops at the first array that still moves; a NaN change counts
-    as moving. Only the error takes the largest change over all arrays, NaN
-    if any is.
+    as moving, an empty array as unmoved. Only the error takes the largest
+    change over all arrays, NaN if any is.
     """
     _check_stop(tol, max_iter)
 
     def changes():
-        return (np.max(np.abs(a - b)) for a, b in zip(arrays(x), arrays(prev)))
+        return (np.abs(a - b).max(initial=0.0) for a, b in zip(arrays(x), arrays(prev)))
 
     for _ in range(max_iter):
         prev = x  # rebound first, so no third iterate lives through the step
@@ -369,15 +366,3 @@ def epidemic_threshold(
     if lam_max <= 0.0:
         raise InvalidArgumentError("H has no positive eigenvalue, so there is no finite threshold")
     return ThresholdResult(beta_c=params.mu / lam_max, lambda_max=lam_max, p_a=p_a)
-
-
-def write_threshold_csv(result: ThresholdResult, params: DynamicsParams, path) -> None:
-    values = (params.gamma, params.lam, params.delta, params.mu, result.lambda_max, result.beta_c)
-    write_lines(path, ("gamma,lambda,delta,mu,lambda_max_H,beta_c", ",".join(map(repr, values))))
-
-
-def write_node_csv(path, names, columns) -> None:
-    """A `node,<names>` header, then one row per node of each column's float repr."""
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
-    lines = (f"{i},{','.join(map(repr, row))}" for i, row in enumerate(rows))
-    write_lines(path, chain([",".join(("node", *names))], lines))

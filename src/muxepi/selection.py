@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, check_count, check_range
-from .graph import Graph, write_lines
+from .graph import Graph
 
 STRATEGIES = (
     "random",
@@ -24,7 +24,7 @@ STRATEGIES = (
     "clustering_bottom",
 )
 
-__all__ = ["STRATEGIES", "OmegaSpec", "select_omega", "write_omega_set"]
+__all__ = ["STRATEGIES", "OmegaSpec", "select_omega"]
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,3 @@ def select_omega(spec: OmegaSpec, awareness: Graph, seed=None) -> np.ndarray:
     score = awareness.centrality(measure)
     order = np.argsort(-score if end == "top" else score, kind="stable")
     return np.sort(order[:k]).astype(np.int64)
-
-
-def write_omega_set(nodes, path) -> None:
-    """One node index per line, for audit and replay."""
-    write_lines(path, (str(int(i)) for i in nodes))

@@ -88,7 +88,7 @@ def has_edge(g, i, j):
 
 
 def read_omega_set(path):
-    """The sorted node indices of a file `write_omega_set` wrote, one per line."""
+    """The sorted node indices of an `omega.txt` the CLI wrote, one per line."""
     with open(path, encoding="ascii") as fh:
         return sorted(int(line) for line in fh if line.strip())
 

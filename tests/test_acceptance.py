@@ -179,8 +179,8 @@ def test_criterion_6_onset_and_suppression():
 
 @pytest.fixture(scope="module")
 def silenced_hub_timeseries():
-    """N=10000 runs shared by criteria 7 and 9: degree_top silenced set at
-    three infection rates, degree_bottom at the highest one."""
+    """N=10000 runs shared by criteria 7 and 9, and their specs: degree_top
+    silenced set at three infection rates, degree_bottom at the highest one."""
     spec_top = ExperimentSpec(
         n=10000,
         lambdas=(0.5,),
@@ -199,11 +199,11 @@ def silenced_hub_timeseries():
         master_seed=0,
     )
     bottom = timeseries_experiment(spec_bottom)
-    return top, bottom
+    return top, bottom, spec_top, spec_bottom
 
 
 def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
-    top, bottom = silenced_hub_timeseries
+    top, bottom, spec_top, spec_bottom = silenced_hub_timeseries
     top_final = float(top.mean_rho_r[0, 2])  # beta_u = 0.8
     bottom_final = float(bottom.mean_rho_r[0, 0])
     top_plateau = float(np.mean([r.plateau_step for r in top.runs[2]]))
@@ -212,7 +212,7 @@ def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
     ok_plateaus = top_plateau < 120 and bottom_plateau > 150
     ok = ok_finals and ok_plateaus
     mmca_top, mmca_bottom = mmca_rho_r(
-        top.spec, [(top.spec.omega, 0.5, 0.8), (bottom.spec.omega, 0.5, 0.8)]
+        spec_top, [(spec_top.omega, 0.5, 0.8), (spec_bottom.omega, 0.5, 0.8)]
     )
     report(
         7,
@@ -265,7 +265,7 @@ def test_criterion_8_silenced_fraction_sweep():
 
 
 def test_criterion_9_awareness_plateau_independence(silenced_hub_timeseries):
-    top, _ = silenced_hub_timeseries
+    top = silenced_hub_timeseries[0]
     tails = {
         beta: float(np.mean([r.tail_rho_a for r in top.runs[j]]))
         for j, beta in enumerate(top.cols)

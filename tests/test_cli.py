@@ -360,6 +360,10 @@ class TestMainErrors:
             (["timeseries", "--set", "ba_m=61"], "ba_m must be at most n (60), got 61"),
             (["threshold", "--set", "awareness_edges=ring.edges", "--set", "contact_edges=ring.edges",
               "--set", "omega_count=4"], "count 4 outside range [0, 3]"),
+            (["mmca", "--set", "awareness_edges=zero.edges", "--set", "contact_edges=zero.edges"],
+             "zero.edges: the multiplex has no node"),
+            (["threshold", "--set", "awareness_edges=zero.edges",
+              "--set", "contact_edges=zero.edges"], "zero.edges: the multiplex has no node"),
         ],
         ids=["gamma_above_one", "odd_ws_k", "omega_count_above_n", "zero_replications",
              "zero_tol", "mmca_zero_tol", "negative_tail_window", "negative_seed",
@@ -380,7 +384,8 @@ class TestMainErrors:
              "nul_in_path", "empty_awareness_edges", "empty_contact_edges", "empty_set_out",
              "empty_config_out", "omega_count_with_fraction", "heatmap_omega_fraction_with_count",
              "removed_beta_a", "threshold_beta_u", "ws_k_not_below_n", "ba_m_above_n",
-             "omega_count_above_edge_file_nodes"],
+             "omega_count_above_edge_file_nodes", "mmca_zero_node_edge_files",
+             "threshold_zero_node_edge_files"],
     )
     def test_input_error_raised_during_run_exits_2(
         self, argv, message, tmp_path, capsys, monkeypatch
@@ -392,6 +397,7 @@ class TestMainErrors:
         (tmp_path / "nul.cfg").write_text("contact_edges = a\0b\n")
         (tmp_path / "empty_out.cfg").write_text("out =\n")
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "zero.edges").write_text("# nodes=0\n")
         (tmp_path / "dir.edges").mkdir()
         (tmp_path / "abc.edges").write_text("# nodes=abc\n0 1\n")
         (tmp_path / "minus.edges").write_text("# nodes=-3\n")
@@ -418,17 +424,19 @@ class TestMainErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "sets, message",
-        [(["n=60", "ws_k=5"], "ws_k must be even, got 5"),
-         (["n=60", "ws_k=60"], "ws_k must be below n (60), got 60"),
-         (["n=60", "ba_m=61"], "ba_m must be at most n (60), got 61"),
-         (["n=10"], "omega_count must be at most n (10), got 20")],
-        ids=["odd_ws_k", "ws_k_not_below_n", "ba_m_above_n", "default_omega_count_above_n"],
+        "sub, sets, message",
+        [("heatmap", ["n=60", "ws_k=5"], "ws_k must be even, got 5"),
+         ("heatmap", ["n=60", "ws_k=60"], "ws_k must be below n (60), got 60"),
+         ("heatmap", ["n=60", "ba_m=61"], "ba_m must be at most n (60), got 61"),
+         ("heatmap", ["n=10"], "omega_count must be at most n (10), got 20"),
+         ("threshold", ["n=60", "mu=0"], "mu must be above 0 for threshold, got 0.0")],
+        ids=["odd_ws_k", "ws_k_not_below_n", "ba_m_above_n", "default_omega_count_above_n",
+             "threshold_mu_zero"],
     )
-    def test_size_that_does_not_fit_n_exits_before_out_exists(self, sets, message, tmp_path,
+    def test_size_that_does_not_fit_n_exits_before_out_exists(self, sub, sets, message, tmp_path,
                                                               capsys):
         out = tmp_path / "fresh"
-        argv = ["heatmap", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
+        argv = [sub, "--out", str(out)] + [a for s in sets for a in ("--set", s)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"muxepi: config error: {message}\n"
         assert not out.exists()

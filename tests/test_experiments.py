@@ -20,9 +20,6 @@ from muxepi.dynamics import I, mc_step
 from muxepi.experiments import plateau_step
 from muxepi.selection import select_omega
 
-HEADER = "muxepi test"  # line 1 of each CSV these tests write, after "# "
-
-
 def small_spec(**kwargs):
     base = dict(
         n=200,
@@ -38,6 +35,30 @@ def small_spec(**kwargs):
     )
     base.update(kwargs)
     return ExperimentSpec(**base)
+
+
+def cli_csv(subcommand, tmp_path, *items):
+    """The lines of the CSV `muxepi <subcommand>` writes on small_spec()'s networks,
+    its run settings and `items`; a later item overrides an earlier one."""
+    out = tmp_path / subcommand
+    argv = [subcommand, "--seed", "7", "--jobs", "1", "--out", str(out)]
+    for item in ["n=200", "initial_infected_fraction=0.01", "replications=3", *items]:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    return (out / f"{subcommand}.csv").read_text().splitlines()
+
+
+def outcome(res):
+    """What the CLI writes of a result: each cell's mean and std of the final rho_R
+    and, for a time series, each beta_u's mean curves."""
+    curves = res.runs[0][0].curves is not None
+    return [res.mean_rho_r, res.std_rho_r,
+            *(res.mean_curves(j) for j in range(len(res.cols)) if curves)]
+
+
+def assert_same_outcome(a, b, name=None):
+    assert (a.rows, a.cols) == (b.rows, b.cols), name
+    assert all(np.array_equal(x, y) for x, y in zip(outcome(a), outcome(b), strict=True)), name
 
 
 class TestAverageReplications:
@@ -103,7 +124,7 @@ class TestValidation:
         [
             (["random", "random"], [0.1], "strategies"),
             (["random"], [0.1, 0.1], "fractions"),
-            (["degree_top"], [0, 0.0], "fractions"),  # 0 and 0.0 both write 0.0
+            (["degree_top"], [0, 0.0], "fractions"),  # 0 == 0.0: one fraction twice
         ],
     )
     def test_repeated_sweep_entry_rejected(self, strategies, fractions, key):
@@ -148,7 +169,7 @@ class TestHeatmap:
         assert row[1] > row[0] - 0.03
         assert row[2] > row[1] - 0.03
 
-    def test_reproducible_and_worker_independent(self, tmp_path):
+    def test_reproducible_and_worker_independent(self):
         spec = small_spec()
         drivers = {
             "heatmap": lambda jobs: heatmap_experiment(spec, jobs=jobs),
@@ -160,12 +181,9 @@ class TestHeatmap:
             ),
         }
         for name, driver in drivers.items():
-            paths = []
-            for i, jobs in enumerate((1, 1, 2)):
-                p = tmp_path / f"{name}{i}.csv"
-                driver(jobs).write_csv(p, HEADER)
-                paths.append(p.read_bytes())
-            assert paths[0] == paths[1] == paths[2], name
+            first, *others = (driver(jobs) for jobs in (1, 1, 2))
+            for other in others:
+                assert_same_outcome(first, other, name)
 
     def test_pool_never_exceeds_task_count(self, monkeypatch):
         # A fork pool starts all its workers at the first submit, so --jobs
@@ -193,46 +211,31 @@ class TestHeatmap:
         assert np.array_equal(pooled.mean_rho_r, heatmap_experiment(spec, jobs=1).mean_rho_r)
 
     def test_csv_format(self, tmp_path):
-        spec = small_spec()
-        res = heatmap_experiment(spec)
-        p = tmp_path / "hm.csv"
-        res.write_csv(p, HEADER)
-        lines = p.read_text().splitlines()
-        assert lines[0] == f"# {HEADER}"
+        res = heatmap_experiment(small_spec())
+        lines = cli_csv("heatmap", tmp_path, "omega_count=4", "lambdas=0.5", "betas=0.3")
+        assert lines[0].startswith(f"# muxepi v{muxepi.__version__} config=")
         assert lines[1] == "lambda,beta_u,mean_rho_r,std_rho_r,replications"
-        assert len(lines) == 2 + 1  # one grid cell
-        fields = lines[2].split(",")
-        assert [float(x) for x in fields[:4]] and int(fields[4]) == 3
+        mean, std = res.mean_rho_r[0, 0], res.std_rho_r[0, 0]
+        assert lines[2:] == [f"0.5,0.3,{float(mean)!r},{float(std)!r},3"]  # one grid cell
 
 
 class TestGridResult:
-    """One result type for the heatmap and the sweep, with the old CSV bytes."""
+    """One result type for the heatmap, the time series and the sweep."""
 
-    def test_linspace_axes_write_plain_float_reprs(self, tmp_path):
+    def test_cell_stats_with_linspace_axes(self):
         # A library caller's axes may hold numpy float64 values, as np.linspace gives.
         axis = tuple(np.linspace(0.0, 1.0, 21))
         finals = np.random.default_rng(3).random((21 * 21, 3))
         runs = [tuple(experiments.RunRecord(f, True, 0.0, 0, None) for f in cell) for cell in finals]
-        res = experiments.GridResult(
-            small_spec(), "lambda,beta_u,mean_rho_r,std_rho_r", axis, axis, runs
-        )
+        res = experiments.GridResult(axis, axis, runs)
         mean, std = res.mean_rho_r, res.std_rho_r
+        assert mean.shape == std.shape == (21, 21)
         assert mean[2, 5] == np.mean(finals[2 * 21 + 5])
         assert std[2, 5] == np.std(finals[2 * 21 + 5], ddof=1)
-        res.write_csv(tmp_path / "hm.csv", HEADER)
-        rows = (tmp_path / "hm.csv").read_text().splitlines()[2:]
-        assert rows == [
-            f"{float(lam)!r},{float(beta)!r},{float(mean[i, j])!r},{float(std[i, j])!r},3"
-            for i, lam in enumerate(axis)
-            for j, beta in enumerate(axis)
-        ]
-        assert rows[1].startswith("0.0,0.05,")
 
     def test_int_fraction_written_as_float(self, tmp_path):
-        res = omega_ratio_sweep(small_spec(replications=1), ["random"], [0, 0.1])
-        res.write_csv(tmp_path / "sw.csv", HEADER)
-        rows = (tmp_path / "sw.csv").read_text().splitlines()[2:]
-        assert [r.split(",")[:2] for r in rows] == [["random", "0.0"], ["random", "0.1"]]
+        lines = cli_csv("sweep", tmp_path, "replications=1", "strategies=random", "fractions=0,0.1")
+        assert [r.split(",")[:2] for r in lines[2:]] == [["random", "0.0"], ["random", "0.1"]]
 
     def test_heatmap_curve_is_a_lambda_row(self):
         res = heatmap_experiment(small_spec(n=60, lambdas=(0.2, 0.8), betas=(0.1, 0.4, 0.7)))
@@ -254,19 +257,16 @@ class TestTailSkip:
         monkeypatch.setattr(dynamics, "mc_step", counted)
         return calls
 
-    def test_tail_window_changes_only_the_spec_line(self, tmp_path):
+    def test_tail_window_changes_only_the_spec_line(self):
         drivers = {
             "heatmap": heatmap_experiment,
             "sweep": lambda spec: omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.2]),
         }
         betas = {"heatmap": (0.1, 0.4), "sweep": (0.1,)}
         for name, driver in drivers.items():
-            blobs = []
-            for tail in (0, 100):
-                p = tmp_path / f"{name}{tail}.csv"
-                driver(small_spec(betas=betas[name], tail_window=tail)).write_csv(p, HEADER)
-                blobs.append(p.read_text().splitlines())
-            assert blobs[0] == blobs[1], name
+            untailed, tailed = (driver(small_spec(betas=betas[name], tail_window=tail))
+                                for tail in (0, 100))
+            assert_same_outcome(untailed, tailed, name)
 
     @pytest.mark.parametrize("kind", [experiments._KIND_HEATMAP, experiments._KIND_SWEEP])
     def test_heatmap_and_sweep_stop_at_absorption(self, step_calls, kind):
@@ -423,22 +423,15 @@ class TestTimeseries:
             assert all(0.0 <= r.tail_rho_a <= 1.0 for r in records)
 
     def test_csv_format(self, tmp_path):
-        spec = small_spec()
-        res = timeseries_experiment(spec)
-        p = tmp_path / "ts.csv"
-        res.write_csv(p, HEADER)
-        lines = p.read_text().splitlines()
+        res = timeseries_experiment(small_spec())
+        lines = cli_csv("timeseries", tmp_path, "omega_count=4", "lambda=0.5", "betas=0.3")
         assert lines[1] == "beta_u,step,rho_R,rho_A,replications"
-        assert len(lines) == 2 + len(res.mean_curves(0))
-        assert all(float(x) is not None for x in lines[2].split(","))
+        curves = res.mean_curves(0).tolist()
+        assert lines[2:] == [f"0.3,{t},{rr!r},{ra!r},3" for t, (rr, ra) in enumerate(curves)]
 
     def test_header_grid_is_the_rows_grid(self, tmp_path):
-        spec = small_spec(lambdas=(0.9,), betas=(0.2, 0.6), replications=1)
-        res = timeseries_experiment(spec)
-        assert res.spec.lambdas[0] == 0.9
-        p = tmp_path / "ts.csv"
-        res.write_csv(p, HEADER)
-        lines = p.read_text().splitlines()
+        lines = cli_csv("timeseries", tmp_path, "lambda=0.9", "betas=0.2,0.6", "replications=1")
+        assert json.loads(lines[0].split(" config=", 1)[1])["lambdas"] == [0.9]
         row_betas = list(dict.fromkeys(float(line.split(",")[0]) for line in lines[2:]))
         assert row_betas == [0.2, 0.6]
 
@@ -461,25 +454,19 @@ class TestSweep:
         assert curve.shape == (2,)
         assert curve[0] == res.mean_rho_r[res.rows.index("degree_top"), res.cols.index(0.0)]
 
-    def test_reproducible(self, tmp_path):
+    def test_reproducible(self):
         spec = small_spec()
-        blobs = []
-        for i in range(2):
-            res = omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.1])
-            p = tmp_path / f"sw{i}.csv"
-            res.write_csv(p, HEADER)
-            blobs.append(p.read_bytes())
-        assert blobs[0] == blobs[1]
+        first, second = (omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.1])
+                         for _ in range(2))
+        assert_same_outcome(first, second)
 
     def test_csv_format(self, tmp_path):
-        spec = small_spec()
-        res = omega_ratio_sweep(spec, ["random"], [0.1])
-        p = tmp_path / "sw.csv"
-        res.write_csv(p, HEADER)
-        lines = p.read_text().splitlines()
+        res = omega_ratio_sweep(small_spec(), ["random"], [0.1])
+        lines = cli_csv("sweep", tmp_path, "lambdas=0.5", "betas=0.3", "strategies=random",
+                        "fractions=0.1")
         assert lines[1] == "strategy,fraction,mean_rho_r,std_rho_r,replications"
-        assert lines[2].startswith("random,0.1,")
-        assert [float(x) for x in lines[2].split(",")[1:]]
+        mean, std = res.mean_rho_r[0, 0], res.std_rho_r[0, 0]
+        assert lines[2:] == [f"random,0.1,{float(mean)!r},{float(std)!r},3"]
 
 
 class TestRankingCache:
@@ -500,17 +487,13 @@ class TestRankingCache:
             monkeypatch.setattr(graph, name, counted)
         return calls
 
-    def test_one_centrality_call_per_replication(self, monkeypatch, tmp_path):
+    def test_one_centrality_call_per_replication(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "betweenness", "clustering_coefficients")
         spec = small_spec(replications=2)
-        blobs = []
-        for jobs in (1, 2):
-            res = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=jobs)
-            if jobs == 1:
-                assert calls == {"betweenness": 2, "clustering_coefficients": 2}
-            res.write_csv(tmp_path / f"sweep{jobs}.csv", HEADER)
-            blobs.append((tmp_path / f"sweep{jobs}.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+        serial = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=1)
+        assert calls == {"betweenness": 2, "clustering_coefficients": 2}
+        pooled = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=2)
+        assert_same_outcome(serial, pooled)
 
     def test_zero_fraction_reads_no_centrality(self, monkeypatch):
         names = ("degree_sequence", "betweenness", "clustering_coefficients")

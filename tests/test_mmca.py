@@ -22,8 +22,9 @@ from muxepi import (
     mmca_step,
     uau_steady_state,
 )
-from muxepi import mmca
-from muxepi.mmca import COMPONENTS, write_node_csv, write_threshold_csv
+from muxepi import mmca, write_edge_list
+from muxepi.cli import main
+from muxepi.mmca import COMPONENTS
 from muxepi.selection import OmegaSpec, select_omega
 from oracles import (
     _reference_neighbor_product,
@@ -57,6 +58,10 @@ def small_net(n=200, seed=0):
 def ring_net(n=50):
     ring = generate_ws(n, 4, 0.0)
     return build_multiplex(ring, ring)
+
+
+def empty_net():
+    return build_multiplex(Graph(0, []), Graph(0, []))
 
 
 class TestRates:
@@ -187,8 +192,7 @@ class TestStep:
             assert_bit_equal(getattr(got, c), getattr(want, c), c)
 
     def test_empty_multiplex_steps_to_empty_arrays(self):
-        empty = Graph(0, [])
-        net = build_multiplex(empty, empty)
+        net = empty_net()
         state = init_mmca(net, [], default_params())
         assert all(a.shape == (0,) for a in mmca_rates(state, net, default_params()))
         assert mmca_step(state, net, default_params()).p_i.shape == (0,)
@@ -355,6 +359,12 @@ class TestRun:
         state = mmca_run(net, [], default_params(beta_u=0.5))
         assert state.rho()["rho_r"] > 0.9
 
+    def test_empty_multiplex_stops_after_one_step(self):
+        # No component has an entry to move, so the first stop test passes.
+        state = mmca_run(empty_net(), [], default_params())
+        assert state.step == 1
+        assert all(getattr(state, c).shape == (0,) for c in COMPONENTS)
+
     @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100),
                                                (1.0, 100), (1e300, 100), (1e-9, np.nan)])
     def test_fixed_points_reject_unreachable_stop(self, tol, max_iter):
@@ -480,6 +490,9 @@ class TestUauSteadyState:
         assert p[4] == 0.0 and p[8] == 0.0
         others = np.delete(p, [4, 8])
         assert others.min() > 0.0
+
+    def test_empty_multiplex_is_empty(self):
+        assert uau_steady_state(empty_net(), default_params()).shape == (0,)
 
 
 class TestHMatrix:
@@ -617,6 +630,10 @@ class TestEpidemicThreshold:
         with pytest.raises(InvalidArgumentError):
             epidemic_threshold(ring_net(), default_params(mu=0.0))
 
+    def test_empty_multiplex_has_no_threshold(self):
+        with pytest.raises(InvalidArgumentError, match="need a non-empty square matrix"):
+            epidemic_threshold(empty_net(), default_params())
+
     def test_frozen_reference_configuration(self):
         # Regression pin for the default parameter set on a 10000-node
         # network pair; value frozen from a validated run.
@@ -653,19 +670,39 @@ class TestEpidemicThreshold:
             assert (ratio > 1.0) == grows
 
 
+def node_csv(names, columns) -> str:
+    """A `node,<names>` header, then one row per node of each column's float repr."""
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [",".join(("node", *names))]
+    lines += [f"{i},{','.join(map(repr, row))}" for i, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvOutput:
+    """The CLI's files hold the library's results, each float as its repr."""
+
+    def run_on_ring(self, subcommand, tmp_path, *items):
+        """`muxepi <subcommand>` with ring_net()'s ring as both layers; its output directory."""
+        ring, out = tmp_path / "ring.edges", tmp_path / subcommand
+        write_edge_list(ring_net().contact_layer, ring)
+        argv = [subcommand, "--out", str(out),
+                "--set", f"awareness_edges={ring}", "--set", f"contact_edges={ring}"]
+        for item in items:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        return out
+
     def test_threshold_csv(self, tmp_path):
-        net = ring_net()
-        params = default_params(gamma=1.0)
-        res = epidemic_threshold(net, params)
-        path = tmp_path / "threshold.csv"
-        write_threshold_csv(res, params, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "gamma,lambda,delta,mu,lambda_max_H,beta_c"
-        fields = lines[1].split(",")
-        assert float(fields[0]) == 1.0 and float(fields[5]) == pytest.approx(0.015)
+        out = self.run_on_ring("threshold", tmp_path, "gamma=1.0")
+        res = epidemic_threshold(ring_net(), default_params(gamma=1.0))
+        values = (1.0, 0.5, 0.04, 0.06, res.lambda_max, res.beta_c)
+        assert (out / "threshold.csv").read_text() == (
+            f"gamma,lambda,delta,mu,lambda_max_H,beta_c\n{','.join(map(repr, values))}\n")
+        assert res.beta_c == pytest.approx(0.015)
+        assert (out / "p_a.csv").read_text() == node_csv(("p_a",), (res.p_a,))
 
     def test_fixed_point_csv(self, tmp_path):
-        path = tmp_path / "fp.csv"
-        write_node_csv(path, ("p_a",), (np.array([0.25, 0.5]),))
-        assert path.read_text() == "node,p_a\n0,0.25\n1,0.5\n"
+        out = self.run_on_ring("mmca", tmp_path, "beta_u=0.3")
+        state = mmca_run(ring_net(), [], default_params())
+        columns = [getattr(state, c) for c in COMPONENTS]
+        assert (out / "mmca_states.csv").read_text() == node_csv(COMPONENTS, columns)

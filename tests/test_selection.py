@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from muxepi import Graph, InvalidArgumentError, OmegaSpec, generate_ba, select_omega
-from muxepi.selection import write_omega_set
+from muxepi import (
+    Graph, InvalidArgumentError, OmegaSpec, generate_ba, select_omega, write_edge_list)
+from muxepi.cli import main
 from oracles import read_omega_set
 
 
@@ -113,8 +114,13 @@ def test_fraction_resolution():
 
 
 def test_omega_set_round_trip(tmp_path):
-    nodes = np.array([3, 7, 11], dtype=np.int64)
-    path = tmp_path / "omega.txt"
-    write_omega_set(nodes, path)
-    assert read_omega_set(path) == [3, 7, 11]
-    assert path.read_text() == "3\n7\n11\n"
+    # degree_top on a star: the hub, then the leaves by ascending index.
+    edges, out = tmp_path / "star.edges", tmp_path / "mmca"
+    write_edge_list(star(), edges)
+    argv = ["mmca", "--out", str(out), "--set", f"awareness_edges={edges}",
+            "--set", f"contact_edges={edges}", "--set", "omega_strategy=degree_top",
+            "--set", "omega_count=3"]
+    assert main(argv) == 0
+    path = out / "omega.txt"
+    assert read_omega_set(path) == select_omega(OmegaSpec("degree_top", count=3), star()).tolist()
+    assert path.read_text() == "0\n1\n2\n"
