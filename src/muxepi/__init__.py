@@ -7,7 +7,6 @@ from .graph import (
     Graph,
     MultiplexNetwork,
     betweenness,
-    build_multiplex,
     clustering_coefficients,
     degree_sequence,
     generate_ba,

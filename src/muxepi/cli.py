@@ -28,7 +28,7 @@ from .experiments import (
 )
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import (  # noqa: F401
-    build_multiplex, generate_ba, read_edge_list, write_edge_list, write_lines)
+    MultiplexNetwork, generate_ba, read_edge_list, write_edge_list, write_lines)
 from .mmca import COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run
 from .selection import STRATEGIES, OmegaSpec
 
@@ -159,13 +159,13 @@ def parse_config(
 ) -> RunConfig:
     """Merge the config file, --set overrides and flags into a validated RunConfig.
 
-    The subcommand is the argument, else --set's, else the common block's.
-    Every key it reads then takes the last value of, lowest first: its default
-    in _COMMANDS, the common block, that subcommand's section, --set, the flags;
-    the common block's other keys are skipped, and a section or --set that holds
-    one exits 2. A seed given nowhere falls back to MUXEPI_SEED, then 0. The
-    run's record, `values`, holds each key of its _COMMANDS entry that is set,
-    and the seed, sorted; a given omega_fraction unsets omega_count's default.
+    The subcommand is the argument, else --set's, else the common block's. Every key
+    it reads then takes the last value of, lowest first: its default in _COMMANDS, the
+    common block, that subcommand's section, --set, the flags; the common block's other
+    keys are skipped, and a section or --set that holds one exits 2. Edge files make n,
+    ba_m, ws_k and ws_p such keys. A seed given nowhere falls back to MUXEPI_SEED, then 0.
+    The run's record, `values`, holds each key of its _COMMANDS entry that is set, and
+    the seed, sorted; a given omega_fraction unsets omega_count's default.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -192,14 +192,20 @@ def parse_config(
     if ("awareness_edges" in given) != ("contact_edges" in given):
         missing = "awareness_edges" if "contact_edges" in given else "contact_edges"
         raise ConfigError(f"awareness_edges and contact_edges go together; {missing} is missing")
+    if "awareness_edges" in given:  # the files fix the network
+        sized = [k for k in _NET if k in sets or k in sections.get(sub, {})]
+        if sized:
+            raise ConfigError(f"{sized[0]}: {sub} reads no {sized[0]} with edge files")
+        defaults = {k: v for k, v in defaults.items() if k not in _NET}
     record = {k: given.get(k, default) for k, default in defaults.items()} | {"seed": seed}
     values = {k: v for k, v in sorted(record.items()) if v is not None}
-    n, got = values["n"], values.get  # a run that builds its own layers needs sizes that fit n
+    n, got = values.get("n"), values.get  # a run that builds its own layers needs sizes that fit n
     for key, bad, rule in (("ws_k", got("ws_k") % 2, "must be even"),
                            ("ws_k", got("ws_k") >= n, f"must be below n ({n})"),
                            ("ba_m", got("ba_m") > n, f"must be at most n ({n})"),
-                           ("omega_count", got("omega_count", 0) > n, f"must be at most n ({n})")):
-        if bad and "awareness_edges" not in values:
+                           ("omega_count", got("omega_count", 0) > n, f"must be at most n ({n})")
+                           ) if n else ():
+        if bad:
             raise ConfigError(f"{key} {rule}, got {values[key]}")
     if sub == "threshold" and values["mu"] == 0:  # beta_c = mu / Lambda_max would be 0
         raise ConfigError(f"mu must be above 0 for threshold, got {values['mu']}")
@@ -209,7 +215,7 @@ def parse_config(
 def _networks(config: RunConfig):
     aw_path, ct_path = config.get("awareness_edges"), config.get("contact_edges")
     if aw_path:  # parse_config lets no edge file through alone
-        return build_multiplex(read_edge_list(aw_path), read_edge_list(ct_path))
+        return MultiplexNetwork(read_edge_list(aw_path), read_edge_list(ct_path))
     return replication_multiplex(*(config.get(k) for k in _NET), config.seed)
 
 

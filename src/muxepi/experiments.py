@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import A, R, DynamicsParams, run_to_absorption
 from .errors import InvalidArgumentError, check_count, check_range
-from .graph import Graph, MultiplexNetwork, build_multiplex, generate_ba, generate_ws
+from .graph import Graph, MultiplexNetwork, generate_ba, generate_ws
 from .selection import OmegaSpec, select_omega
 
 __all__ = [
@@ -116,7 +116,7 @@ def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexN
     replication 0 is the multiplex `muxepi generate` writes at the same seed.
     """
     ba_seed, ws_seed = np.random.SeedSequence(master_seed, spawn_key=(rep,)).spawn(2)
-    return build_multiplex(
+    return MultiplexNetwork(
         generate_ba(n, ba_m, seed=ba_seed), generate_ws(n, ws_k, ws_p, seed=ws_seed)
     )
 

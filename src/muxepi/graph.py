@@ -24,7 +24,6 @@ __all__ = [
     "degree_sequence",
     "betweenness",
     "clustering_coefficients",
-    "build_multiplex",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -137,10 +136,6 @@ class MultiplexNetwork:
             np.concatenate((a.indptr, b.indptr[1:] + len(a.indices))),
             np.concatenate((a.indices, b.indices + self.node_count)),
         )
-
-
-def build_multiplex(a: Graph, b: Graph) -> MultiplexNetwork:
-    return MultiplexNetwork(awareness_layer=a, contact_layer=b)
 
 
 _BA_BLOCK = 256  # nodes whose first m draws are taken in one Generator call

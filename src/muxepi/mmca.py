@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import DynamicsParams, omega_mask
-from .errors import InvalidArgumentError, NonConvergenceError, check_count
+from .errors import InvalidArgumentError, NonConvergenceError, check_count, check_range
 from .graph import Graph, MultiplexNetwork
 
 __all__ = [
@@ -79,6 +79,8 @@ class MmcaState:
         return self.p_us + self.p_as + self.p_i + self.p_ur + self.p_ar
 
     def rho(self) -> dict:
+        if not len(self.p_i):  # no node to average over
+            raise InvalidArgumentError("rho needs a state of at least one node")
         return {
             "rho_s": float(np.mean(self.p_us + self.p_as)),
             "rho_i": float(np.mean(self.p_i)),
@@ -116,12 +118,10 @@ def _live_awareness(net: MultiplexNetwork, omega: np.ndarray):
     bits; each row keeps its column order. Its empty row gives r = exp(0) = 1.
     """
     from scipy import sparse
-    layer = net.awareness_layer
-    n = layer.node_count
-    rows = np.repeat(np.arange(n), np.diff(layer.indptr))
-    live = ~(omega[rows] | omega[layer.indices])
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[live], minlength=n))))
-    return sparse.csr_matrix((np.ones(indptr[-1]), layer.indices[live], indptr), shape=(n, n))
+    keep = sparse.diags(np.where(omega, 0.0, 1.0))
+    live = (keep @ net.awareness_layer.adjacency() @ keep).tocsr()
+    live.eliminate_zeros()  # a stored zero would give 0 * log(0) = NaN
+    return live
 
 
 def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsParams) -> tuple:
@@ -274,11 +274,12 @@ def uau_steady_state(
     max_iter: int = DEFAULT_MAX_ITER,
     init: float = 0.5,
 ) -> np.ndarray:
-    """Disease-free awareness fixed point; silenced nodes stay at zero. As in
-    `mmca_run`, tol bounds the last step's change, not the distance to the fixed point."""
+    """Disease-free awareness fixed point from p_a = init; silenced nodes stay at +0.0 (r = 1),
+    so 1 - delta keeps them there. As in `mmca_run`, tol bounds the last step's change."""
+    check_range("init", init, 0.0, 1.0)
     omega = omega_mask(net.node_count, omega_set)
     a_live = _live_awareness(net, omega)
-    keep = 1.0 - np.where(omega, 1.0, params.delta)
+    keep = 1.0 - params.delta
 
     def step(p):
         return p * keep + (1.0 - p) * (1.0 - _neighbor_product(a_live, 1.0 - params.lam * p))
@@ -290,16 +291,14 @@ def uau_steady_state(
 def build_h_matrix(p_a: np.ndarray, contact: Graph, gamma: float):
     """Row i of the contact adjacency scaled by 1 - (1-gamma) * p_a[i].
 
-    Stored sparse; the zero pattern is exactly the contact adjacency.
+    Stored sparse; the zero pattern is exactly the contact adjacency, which is
+    symmetric, so its rows are scaled with no transpose.
     """
     from scipy import sparse
     p_a = np.asarray(p_a, dtype=np.float64)
     if np.any((p_a < 0.0) | (p_a > 1.0)):
         raise InvalidArgumentError("p_a entries must lie in [0,1]")
-    factors = 1.0 - (1.0 - gamma) * p_a
-    b_mat = contact.adjacency()
-    h = sparse.diags(factors) @ b_mat.T
-    return sparse.csr_matrix(h)
+    return (sparse.diags(1.0 - (1.0 - gamma) * p_a) @ contact.adjacency()).tocsr()
 
 
 def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:

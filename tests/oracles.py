@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from muxepi import Graph, build_multiplex, generate_ba, generate_ws
+from muxepi import Graph, MultiplexNetwork, generate_ba, generate_ws
 from muxepi.dynamics import I, R, S, StateVector
 
 
@@ -101,7 +101,7 @@ def isolated_net(n=120, seed=6):
     def cut(g, lo, hi):
         return Graph(n, [(i, j) for i, j in g.edges() if not (lo <= i < hi or lo <= j < hi)])
 
-    return build_multiplex(cut(a, 0, 10), cut(b, 5, 15))
+    return MultiplexNetwork(cut(a, 0, 10), cut(b, 5, 15))
 
 
 def random_graph(n, p, rng):

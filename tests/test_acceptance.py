@@ -15,9 +15,9 @@ import pytest
 from muxepi import (
     DynamicsParams,
     Graph,
+    MultiplexNetwork,
     OmegaSpec,
     betweenness,
-    build_multiplex,
     epidemic_threshold,
     generate_ba,
     generate_ws,
@@ -71,7 +71,7 @@ def mmca_rho_r(spec, cells):
 def test_criterion_1_threshold_closed_form():
     started = time.monotonic()
     n = 2000
-    net = build_multiplex(generate_ba(n, 4, seed=1), generate_ws(n, 4, 0.0, seed=2))
+    net = MultiplexNetwork(generate_ba(n, 4, seed=1), generate_ws(n, 4, 0.0, seed=2))
     res = epidemic_threshold(net, default_params(gamma=1.0))
     elapsed = time.monotonic() - started
     err = abs(res.beta_c - 0.015)
@@ -108,7 +108,7 @@ def test_criterion_3_betweenness_oracle():
 def test_criterion_4_mmca_conservation():
     started = time.monotonic()
     n = 500
-    net = build_multiplex(generate_ba(n, 4, seed=3), generate_ws(n, 4, 0.1, seed=4))
+    net = MultiplexNetwork(generate_ba(n, 4, seed=3), generate_ws(n, 4, 0.1, seed=4))
     params = default_params()
     state = init_mmca(net, range(0, n, 9), params)
     worst = 0.0
@@ -123,7 +123,7 @@ def test_criterion_4_mmca_conservation():
 def test_criterion_5_mmca_mc_agreement():
     started = time.monotonic()
     n = 1000
-    net = build_multiplex(generate_ba(n, 4, seed=5), generate_ws(n, 4, 0.1, seed=6))
+    net = MultiplexNetwork(generate_ba(n, 4, seed=5), generate_ws(n, 4, 0.1, seed=6))
     omega_set = select_omega(OmegaSpec(strategy="random", count=2),
                              net.awareness_layer, seed=0)
     # Grid frozen away from the threshold (beta_c ~ 0.026 here, so every

@@ -405,7 +405,9 @@ class TestMainErrors:
         (tmp_path / "header.edges").write_bytes("# nodes=3 \u00e9\n0 1\n".encode())
         # Past the first 8 KB chunk, so the header decodes and the body does not.
         (tmp_path / "body.edges").write_bytes(b"# nodes=3\n" + b"0 1\n" * 3000 + b"1 2 # \xff\n")
-        rc = main(argv + ["--out", str(tmp_path), "--jobs", "1", "--set", "n=60"])
+        # Edge files fix the network, so only a run that builds its own layers is given n.
+        sized = [] if any("_edges=" in a for a in argv) else ["--set", "n=60"]
+        rc = main(argv + ["--out", str(tmp_path), "--jobs", "1"] + sized)
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
@@ -442,12 +444,50 @@ class TestMainErrors:
         assert not out.exists()
 
     def test_edge_files_skip_the_generator_size_rules(self, tmp_path):
+        # The common block's size keys are skipped, as any key the run does not read.
         (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        (tmp_path / "sizes.cfg").write_text("n = 2\nba_m = 3\nws_k = 5\nws_p = 0.5\n")
         ring, out = tmp_path / "ring.edges", tmp_path / "thr"
-        argv = ["threshold", "--out", str(out), "--set", f"awareness_edges={ring}",
-                "--set", f"contact_edges={ring}", "--set", "ws_k=5"]
+        argv = ["threshold", "--out", str(out), "--config", str(tmp_path / "sizes.cfg"),
+                "--set", f"awareness_edges={ring}", "--set", f"contact_edges={ring}"]
         assert main(argv) == 0
         assert (out / "threshold.csv").exists()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert not {"n", "ba_m", "ws_k", "ws_p"} & set(config)
+
+    @pytest.mark.parametrize("sub", ["generate", "threshold", "mmca"])
+    def test_edge_file_run_records_no_size(self, sub, tmp_path):
+        (tmp_path / "ring.edges").write_text("# nodes=3\n0 1\n1 2\n0 2\n")
+        ring, out = tmp_path / "ring.edges", tmp_path / "run"
+        argv = [sub, "--out", str(out), "--jobs", "1",
+                "--set", f"awareness_edges={ring}", "--set", f"contact_edges={ring}"]
+        assert main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["awareness_edges"] == str(ring)
+        assert not {"n", "ba_m", "ws_k", "ws_p"} & set(config)
+
+    @pytest.mark.parametrize(
+        "sub, given, message",
+        [("threshold", ["--set", "n=7", "--set", "ws_k=6"], "n: threshold reads no n"),
+         ("mmca", ["--set", "ws_p=0.5"], "ws_p: mmca reads no ws_p"),
+         ("generate", ["--set", "ba_m=2"], "ba_m: generate reads no ba_m"),
+         ("threshold", ["--config", "section.cfg"], "ws_k: threshold reads no ws_k")],
+        ids=["set_n_and_ws_k", "set_ws_p", "generate_set_ba_m", "section_ws_k"],
+    )
+    def test_size_key_with_edge_files_exits_before_out_exists(
+        self, sub, given, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        lines = [f"{i} {(i + 1) % 50}" for i in range(50)]
+        (tmp_path / "ring.edges").write_text("\n".join(["# nodes=50", *lines, ""]))
+        (tmp_path / "section.cfg").write_text("n = 50\n[threshold]\nws_k = 6\n")
+        out = tmp_path / "fresh"
+        argv = [sub, "--out", str(out), "--set", "awareness_edges=ring.edges",
+                "--set", "contact_edges=ring.edges"] + given
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"muxepi: config error: {message} with edge files\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["heatmap", "timeseries", "sweep"])
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from muxepi import (
     DynamicsParams,
     Graph,
     InvalidArgumentError,
-    build_multiplex,
+    MultiplexNetwork,
     counts,
     generate_ba,
     generate_ws,
@@ -29,7 +29,7 @@ from oracles import (
 
 
 def small_net(n=200, seed=0):
-    return build_multiplex(
+    return MultiplexNetwork(
         generate_ba(n, 4, seed=seed), generate_ws(n, 4, 0.1, seed=seed + 1)
     )
 
@@ -108,7 +108,7 @@ class TestInitStates:
 
     def test_rejects_zero_nodes(self):
         # Nothing to seed, and every fraction would be 0/0.
-        net = build_multiplex(Graph(0, []), Graph(0, []))
+        net = MultiplexNetwork(Graph(0, []), Graph(0, []))
         with pytest.raises(InvalidArgumentError, match="node_count=0"):
             init_states(net, [], default_params(), np.random.default_rng(0))
         with pytest.raises(InvalidArgumentError, match="node_count=0"):
@@ -158,7 +158,7 @@ def hub_net(n=80, seed=4):
     """small_net with node n-1 linked to every other node in both layers."""
     net = small_net(n, seed=seed)
     spokes = [(i, n - 1) for i in range(n - 1)]
-    return build_multiplex(
+    return MultiplexNetwork(
         Graph(n, [*net.awareness_layer.edges(), *spokes]),
         Graph(n, [*net.contact_layer.edges(), *spokes]),
     )
@@ -247,7 +247,7 @@ class TestMcStep:
         # Two disconnected contact components: infection cannot jump.
         awareness = Graph(4, [(0, 1), (1, 2), (2, 3)])
         contact = Graph(4, [(0, 1), (2, 3)])
-        net = build_multiplex(awareness, contact)
+        net = MultiplexNetwork(awareness, contact)
         params = default_params(beta_u=1.0, gamma=1.0)
         disease = np.array([I, S, S, S], dtype=np.int8)
         sv = StateVector(disease, np.array([True, False, False, False]),
@@ -258,7 +258,7 @@ class TestMcStep:
             assert sv.disease[2] == S and sv.disease[3] == S
 
     def test_zero_node_state_steps_to_empty_state(self):
-        net = build_multiplex(Graph(0, []), Graph(0, []))
+        net = MultiplexNetwork(Graph(0, []), Graph(0, []))
         sv = StateVector(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=bool),
                          np.zeros(0, dtype=bool))
         nxt = mc_step(sv, net, default_params(), np.random.default_rng(0))
@@ -271,7 +271,7 @@ class TestMcStep:
         # Bernoulli(beta_u) event. 3-sigma binomial band over 4000 trials.
         awareness = Graph(2, [])
         contact = Graph(2, [(0, 1)])
-        net = build_multiplex(awareness, contact)
+        net = MultiplexNetwork(awareness, contact)
         params = default_params(beta_u=0.3, mu=0.0, lam=0.0)
         rng = np.random.default_rng(13)
         trials = 4000
@@ -290,7 +290,7 @@ class TestMcStep:
         # against the exact 25-state joint chain.
         awareness = Graph(2, [(0, 1)])
         contact = Graph(2, [(0, 1)])
-        net = build_multiplex(awareness, contact)
+        net = MultiplexNetwork(awareness, contact)
         params = default_params(lam=0.4, delta=0.2, beta_u=0.35, gamma=0.4, mu=0.25)
         steps, reps = 10, 4000
         rng = np.random.default_rng(14)
@@ -391,7 +391,7 @@ class TestCarriedCounts:
         #   2: susceptible, unaware, awareness and contact neighbour of 0;
         #   3: infected, silenced;       4: recovered, unaware, awareness neighbour of 0 and 3;
         #   5: susceptible, silenced, contact of 3.
-        net = build_multiplex(Graph(6, [(0, 2), (0, 4), (1, 5), (3, 4)]),
+        net = MultiplexNetwork(Graph(6, [(0, 2), (0, 4), (1, 5), (3, 4)]),
                               Graph(6, [(0, 1), (0, 2), (3, 5)]))
         params = default_params(lam=1.0, beta_u=1.0, delta=1.0, mu=1.0, gamma=1.0)
         sv = StateVector(np.array([I, S, S, I, R, S], dtype=np.int8),

@@ -97,7 +97,8 @@ def test_threshold_from_edge_files_matches_generated(tmp_path):
     gen = tmp_path / "gen"
     _run(CASES["generate"][0], gen)
     argv, pinned = CASES["threshold"]
-    argv = argv + [
+    size = argv.index("n=300")  # the edge files fix the network, so the run reads no n
+    argv = argv[:size - 1] + argv[size + 1:] + [
         "--set", f"awareness_edges={gen / 'awareness.edges'}",
         "--set", f"contact_edges={gen / 'contact.edges'}",
     ]

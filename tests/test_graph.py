@@ -8,8 +8,8 @@ import pytest
 from muxepi import (
     Graph,
     InvalidArgumentError,
+    MultiplexNetwork,
     betweenness,
-    build_multiplex,
     clustering_coefficients,
     degree_sequence,
     generate_ba,
@@ -336,12 +336,12 @@ class TestClustering:
 
 class TestMultiplex:
     def test_pairs_layers(self):
-        net = build_multiplex(generate_ba(100, 4, seed=0), generate_ws(100, 4, 0.1, seed=1))
+        net = MultiplexNetwork(generate_ba(100, 4, seed=0), generate_ws(100, 4, 0.1, seed=1))
         assert net.node_count == 100
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            build_multiplex(generate_ba(100, 4, seed=0), generate_ws(99, 4, 0.1, seed=1))
+            MultiplexNetwork(generate_ba(100, 4, seed=0), generate_ws(99, 4, 0.1, seed=1))
 
 
 class TestEdgeListIO:

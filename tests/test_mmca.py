@@ -9,9 +9,9 @@ from muxepi import (
     Graph,
     InvalidArgumentError,
     MmcaState,
+    MultiplexNetwork,
     NonConvergenceError,
     build_h_matrix,
-    build_multiplex,
     epidemic_threshold,
     generate_ba,
     generate_ws,
@@ -46,22 +46,22 @@ def default_params(**kwargs):
 
 def chain_net():
     g = Graph(2, [(0, 1)])
-    return build_multiplex(g, g)
+    return MultiplexNetwork(g, g)
 
 
 def small_net(n=200, seed=0):
-    return build_multiplex(
+    return MultiplexNetwork(
         generate_ba(n, 4, seed=seed), generate_ws(n, 4, 0.1, seed=seed + 1)
     )
 
 
 def ring_net(n=50):
     ring = generate_ws(n, 4, 0.0)
-    return build_multiplex(ring, ring)
+    return MultiplexNetwork(ring, ring)
 
 
 def empty_net():
-    return build_multiplex(Graph(0, []), Graph(0, []))
+    return MultiplexNetwork(Graph(0, []), Graph(0, []))
 
 
 class TestRates:
@@ -80,7 +80,7 @@ class TestRates:
 
     def test_isolated_node_rates_are_one(self):
         g = Graph(3, [(0, 1)])
-        net = build_multiplex(g, g)
+        net = MultiplexNetwork(g, g)
         state = init_mmca(net, [], default_params())
         r, q_a, q_u = mmca_rates(state, net, default_params())
         assert r[2] == q_a[2] == q_u[2] == 1.0
@@ -365,6 +365,13 @@ class TestRun:
         assert state.step == 1
         assert all(getattr(state, c).shape == (0,) for c in COMPONENTS)
 
+    def test_empty_state_has_no_rho(self):
+        # A mean over no node would be NaN, with numpy's empty-slice warning.
+        for state in (init_mmca(empty_net(), [], default_params()),
+                      mmca_run(empty_net(), [], default_params())):
+            with pytest.raises(InvalidArgumentError, match="rho needs a state of at least one node"):
+                state.rho()
+
     @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (1e-9, 0), (np.nan, 100), (np.inf, 100),
                                                (1.0, 100), (1e300, 100), (1e-9, np.nan)])
     def test_fixed_points_reject_unreachable_stop(self, tol, max_iter):
@@ -494,6 +501,19 @@ class TestUauSteadyState:
     def test_empty_multiplex_is_empty(self):
         assert uau_steady_state(empty_net(), default_params()).shape == (0,)
 
+    @pytest.mark.parametrize("init", [np.nan, -0.1, 1.1])
+    def test_rejects_init_outside_unit_interval(self, init):
+        # Checked before the first iteration, not found by the iteration budget.
+        with pytest.raises(InvalidArgumentError, match="init"):
+            uau_steady_state(small_net(60, seed=5), default_params(), init=init)
+
+    @pytest.mark.parametrize("init", [0.0, 1.0])
+    def test_accepts_init_at_the_bounds(self, init):
+        p = uau_steady_state(small_net(60, seed=5), default_params(), omega_set=[4, 8], init=init)
+        # No one is aware from 0.0; from 1.0 every node but the two silenced ones stays aware.
+        assert not np.signbit(p).any() and p[4] == 0.0 and p[8] == 0.0
+        assert np.count_nonzero(p) == (0 if init == 0.0 else 58)
+
 
 class TestHMatrix:
     def test_unaware_population_gives_plain_adjacency(self):
@@ -516,6 +536,14 @@ class TestHMatrix:
         h = build_h_matrix(np.array([0.8, 0.0]), g, gamma=0.5).toarray()
         assert h[0, 1] == pytest.approx(1.0 - 0.5 * 0.8)
         assert h[1, 0] == pytest.approx(1.0)
+
+    def test_rows_scaled_bit_for_bit(self):
+        g = generate_ws(200, 6, 0.3, seed=7)
+        p_a = np.random.default_rng(3).random(200)
+        f = 1.0 - (1.0 - 0.35) * p_a
+        h = build_h_matrix(p_a, g, gamma=0.35)
+        assert np.array_equal(h.toarray(), f[:, None] * g.adjacency().toarray())
+        assert h.nnz == g.adjacency().nnz
 
     def test_rejects_bad_probabilities(self):
         g = Graph(2, [(0, 1)])
@@ -637,7 +665,7 @@ class TestEpidemicThreshold:
     def test_frozen_reference_configuration(self):
         # Regression pin for the default parameter set on a 10000-node
         # network pair; value frozen from a validated run.
-        net = build_multiplex(
+        net = MultiplexNetwork(
             generate_ba(10000, 4, seed=1), generate_ws(10000, 4, 0.1, seed=2)
         )
         res = epidemic_threshold(net, default_params())
