@@ -77,6 +77,7 @@ class RunConfig:
     out_dir: str
     seed: int
     jobs: int
+    spec: ExperimentSpec  # the record as the library reads it, built and checked once
     values: dict = field(default_factory=dict)  # the run's record: see parse_config
 
     def get(self, key):
@@ -165,7 +166,8 @@ def parse_config(
     keys are skipped, and a section or --set that holds one exits 2. Edge files make n,
     ba_m, ws_k and ws_p such keys. A seed given nowhere falls back to MUXEPI_SEED, then 0.
     The run's record, `values`, holds each key of its _COMMANDS entry that is set, and
-    the seed, sorted; a given omega_fraction unsets omega_count's default.
+    the seed, sorted; a given omega_fraction unsets omega_count's default. `spec` is
+    that record's ExperimentSpec, so its checks too run before any output exists.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -209,7 +211,8 @@ def parse_config(
             raise ConfigError(f"{key} {rule}, got {values[key]}")
     if sub == "threshold" and values["mu"] == 0:  # beta_c = mu / Lambda_max would be 0
         raise ConfigError(f"mu must be above 0 for threshold, got {values['mu']}")
-    return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, values)
+    return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1,
+                     _experiment_spec(seed, values), values)
 
 
 def _networks(config: RunConfig):
@@ -219,14 +222,13 @@ def _networks(config: RunConfig):
     return replication_multiplex(*(config.get(k) for k in _NET), config.seed)
 
 
-def _experiment_spec(config: RunConfig) -> ExperimentSpec:
-    """The run's spec from its record; the omega_* keys are its OmegaSpec's fields."""
-    fields = {k: v for k, v in config.values.items() if k in ExperimentSpec.__dataclass_fields__}
-    omega = {k.removeprefix("omega_"): v for k, v in config.values.items()
-             if k.startswith("omega_")}
+def _experiment_spec(seed: int, values: dict) -> ExperimentSpec:
+    """The spec of a run's record; the omega_* keys are its OmegaSpec's fields."""
+    fields = {k: v for k, v in values.items() if k in ExperimentSpec.__dataclass_fields__}
+    omega = {k.removeprefix("omega_"): v for k, v in values.items() if k.startswith("omega_")}
     if omega:
         fields["omega"] = OmegaSpec(**omega)
-    return ExperimentSpec(master_seed=config.seed, **fields)
+    return ExperimentSpec(master_seed=seed, **fields)
 
 
 def _write_manifest(config: RunConfig, outputs, extra, wall_time):
@@ -256,8 +258,7 @@ def _generate(config: RunConfig, out) -> dict:
 
 def _mmca_inputs(config: RunConfig):
     """The multiplex, parameters and replication 0's silenced set of threshold and mmca."""
-    spec = _experiment_spec(config)
-    net = _networks(config)
+    spec, net = config.spec, _networks(config)
     if not net.node_count:  # no node to average over, and no spectrum
         raise InvalidArgumentError(f"{config.get('awareness_edges')}: the multiplex has no node")
     omega_set = replication_omega(spec.omega, net.awareness_layer, config.seed)
@@ -309,13 +310,13 @@ def _experiment_outputs(config: RunConfig, result, path, columns: str, rows=None
 
 # The runners look the experiments up when called, so a wrapper patched in later is the one run.
 def _heatmap(config: RunConfig, out) -> dict:
-    result = heatmap_experiment(_experiment_spec(config), jobs=config.jobs)
+    result = heatmap_experiment(config.spec, jobs=config.jobs)
     return _experiment_outputs(config, result, out("heatmap.csv"),
                                "lambda,beta_u,mean_rho_r,std_rho_r")
 
 
 def _timeseries(config: RunConfig, out) -> dict:
-    result = timeseries_experiment(_experiment_spec(config), jobs=config.jobs)
+    result = timeseries_experiment(config.spec, jobs=config.jobs)
     rows = (f"{beta},{t},{rr!r},{ra!r}" for j, beta in enumerate(result.cols)
             for t, (rr, ra) in enumerate(result.mean_curves(j).tolist()))
     return _experiment_outputs(config, result, out("timeseries.csv"),
@@ -323,8 +324,7 @@ def _timeseries(config: RunConfig, out) -> dict:
 
 
 def _sweep(config: RunConfig, out) -> dict:
-    strategies, fractions = config.get("strategies"), config.get("fractions")
-    result = omega_ratio_sweep(_experiment_spec(config), strategies, fractions, jobs=config.jobs)
+    result = omega_ratio_sweep(config.spec, jobs=config.jobs)
     return _experiment_outputs(config, result, out("sweep.csv"),
                                "strategy,fraction,mean_rho_r,std_rho_r")
 
@@ -351,8 +351,7 @@ _COMMANDS = {
     "heatmap": (_heatmap, {**_RUN, **_OMEGA, "lambdas": _GRID, "betas": _GRID}),
     "timeseries": (_timeseries,
                    {**_RUN, **_OMEGA, "betas": (0.2, 0.5, 0.8), **_model("tail_window")}),
-    "sweep": (_sweep, {**_RUN, "strategies": ("degree_top", "random", "degree_bottom"),
-                       "fractions": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)}),
+    "sweep": (_sweep, {**_RUN, **_model("strategies", "fractions")}),
 }
 
 

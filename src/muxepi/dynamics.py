@@ -114,14 +114,16 @@ class Trajectory:
 
 
 def omega_mask(n: int, omega_set) -> np.ndarray:
-    """Boolean mask of the silenced nodes among n; indices must be integers in 0..n-1."""
+    """Read-only boolean mask of the silenced nodes among n; indices must be integers in 0..n-1."""
     idx = np.asarray(list(omega_set))
     if idx.size and idx.dtype.kind not in "iu":
         raise InvalidArgumentError(f"omega_set must hold integer node indices, got {idx.dtype}")
     idx = idx.astype(np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidArgumentError("omega_set contains out-of-range node indices")
-    return np.bincount(idx, minlength=n) > 0
+    mask = np.bincount(idx, minlength=n) > 0
+    mask.flags.writeable = False
+    return mask
 
 
 def init_states(

@@ -40,7 +40,7 @@ _NS_OMEGA, _NS_DYNAMICS = 2, 3
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Network construction plus dynamics parameters for one experiment family."""
+    """Network construction, dynamics parameters and grid axes for one experiment family."""
 
     n: int = 10000
     ba_m: int = 4
@@ -48,6 +48,8 @@ class ExperimentSpec:
     ws_p: float = 0.1
     lambdas: tuple = (0.5,)
     betas: tuple = (0.2,)
+    strategies: tuple = ("degree_top", "random", "degree_bottom")
+    fractions: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     delta: float = 0.04
     mu: float = 0.06
     gamma: float = 0.5
@@ -59,12 +61,18 @@ class ExperimentSpec:
     tail_window: int = 100
 
     def __post_init__(self):
-        for name in ("lambdas", "betas"):
-            _check_axis(name, getattr(self, name))
-            for v in getattr(self, name):
+        # An empty axis runs no cell; a repeated entry would run its cells twice under one label.
+        for name in ("lambdas", "betas", "strategies", "fractions"):
+            values = getattr(self, name)
+            if not values:
+                raise InvalidArgumentError(f"{name} is empty")
+            if len(set(values)) < len(values):
+                raise InvalidArgumentError(f"{name} has a repeated entry: {tuple(values)}")
+            for v in values if name != "strategies" else ():
                 check_range(f"{name} entry", v, 0.0, 1.0)
         for name, low in (("n", 1), ("replications", 1), ("tail_window", 0)):
             check_count(name, getattr(self, name), low)
+        self.params(self.lambdas[0], self.betas[0])  # checks the other rates before any cell runs
 
     def params(self, lam: float, beta_u: float) -> DynamicsParams:
         return DynamicsParams(
@@ -83,14 +91,6 @@ class ExperimentSpec:
         if len(values) != 1:
             raise InvalidArgumentError(f"{name} must hold one entry here, got {tuple(values)}")
         return values[0]
-
-
-def _check_axis(name: str, values) -> None:
-    """An empty axis runs no cell; a repeated entry would run its cells twice under one label."""
-    if not values:
-        raise InvalidArgumentError(f"{name} is empty")
-    if len(set(values)) < len(values):
-        raise InvalidArgumentError(f"{name} has a repeated entry: {tuple(values)}")
 
 
 def _seed_rng(master_seed: int, *key) -> np.random.Generator:
@@ -115,10 +115,8 @@ def replication_multiplex(n, ba_m, ws_k, ws_p, master_seed, rep=0) -> MultiplexN
     The layers are seeded from the spawn keys (rep, 0) and (rep, 1), so
     replication 0 is the multiplex `muxepi generate` writes at the same seed.
     """
-    ba_seed, ws_seed = np.random.SeedSequence(master_seed, spawn_key=(rep,)).spawn(2)
-    return MultiplexNetwork(
-        generate_ba(n, ba_m, seed=ba_seed), generate_ws(n, ws_k, ws_p, seed=ws_seed)
-    )
+    return MultiplexNetwork(generate_ba(n, ba_m, seed=_seed_rng(master_seed, rep, 0)),
+                            generate_ws(n, ws_k, ws_p, seed=_seed_rng(master_seed, rep, 1)))
 
 
 def replication_omega(omega: OmegaSpec, awareness: Graph, master_seed, rep=0) -> np.ndarray:
@@ -235,13 +233,11 @@ def timeseries_experiment(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
     return GridResult(spec.lambdas, spec.betas, runs)
 
 
-def omega_ratio_sweep(spec: ExperimentSpec, strategies, fractions, jobs: int = 1) -> GridResult:
-    """Mean final recovered fraction against the silenced-node fraction,
+def omega_ratio_sweep(spec: ExperimentSpec, jobs: int = 1) -> GridResult:
+    """Mean final recovered fraction over the (strategy, silenced fraction) grid,
     at the spec's one lambda and one beta_u."""
-    strategies, fractions = tuple(strategies), tuple(fractions)
-    _check_axis("strategies", strategies)
-    _check_axis("fractions", fractions)
     lam, beta = spec.only("lambdas"), spec.only("betas")
-    cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta) for s in strategies for f in fractions]
+    cells = [(OmegaSpec(strategy=s, fraction=f), lam, beta)
+             for s in spec.strategies for f in spec.fractions]
     runs = _run_grid(spec, _KIND_SWEEP, cells, jobs)
-    return GridResult(strategies, fractions, runs)
+    return GridResult(spec.strategies, spec.fractions, runs)

@@ -46,7 +46,7 @@ class MmcaState:
     on silenced ones, which also keep p_as = p_ar = 0. The p_ai and p_ui
     components split p_i by omega. `mmca_step` builds `run` when it is None
     or was built for another net, params or omega object, and carries it
-    from step to step; an omega edited in place needs run=None.
+    from step to step. A mask from `init_mmca` is read-only: swap in a new array.
     """
 
     p_us: np.ndarray

@@ -8,6 +8,7 @@ faithfully and are expected to fail.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def mmca_rho_r(spec, cells):
         ).rho()["rho_r"]
         for omega, lam, beta in cells
     ]
+
+
+def all_beta_a_rho_r(spec, omega, lam, beta, runs=10):
+    """Mean and minimum final rho_R of `runs` MC runs of the cell with every node
+    at beta_a (beta_u = beta_a, gamma = 1), on MC replication 0's multiplex and
+    silenced set. Lowering infection probabilities only shrinks an SIR outbreak
+    (Kenah & Robins, PRE 76, 036113, 2007), so this bounds the cell's rho_R
+    from below; only printed, as a certificate for criteria 6(b) and 7."""
+    net = replication_multiplex(spec.n, spec.ba_m, spec.ws_k, spec.ws_p, spec.master_seed, rep=0)
+    omega_set = replication_omega(omega, net.awareness_layer, spec.master_seed, rep=0)
+    params = spec.params(lam, beta)
+    params = replace(params, beta_u=params.beta_a, gamma=1.0)
+    rng = np.random.default_rng(0)
+    finals = [run_to_absorption(net, omega_set, params, rng, tail_window=0).final_rho_r
+              for _ in range(runs)]
+    return float(np.mean(finals)), min(finals)
 
 
 def test_criterion_1_threshold_closed_form():
@@ -164,6 +181,7 @@ def test_criterion_6_onset_and_suppression():
     ok_b = suppression >= 0.1
     ok = ok_a and ok_b and elapsed < 600.0
     mmca_low_l, mmca_high_l = mmca_rho_r(spec, [(spec.omega, 0.1, 0.9), (spec.omega, 0.9, 0.9)])
+    bound_mean, bound_min = all_beta_a_rho_r(spec, spec.omega, 0.9, 0.9)
     report(
         6,
         ok,
@@ -171,7 +189,9 @@ def test_criterion_6_onset_and_suppression():
         f"rho_R(beta=0.3)={high:.3f}; (b) suppression {'ok' if ok_b else 'violated'}: "
         f"rho_R(l=0.1)-rho_R(l=0.9) at beta=0.9 = {suppression:.4f} (need >=0.1), "
         f"MC rho_R {res.mean_rho_r[0, 2]:.4f} vs MMCA {mmca_low_l:.4f} at l=0.1, "
-        f"MC {res.mean_rho_r[2, 2]:.4f} vs MMCA {mmca_high_l:.4f} at l=0.9; {elapsed:.0f}s",
+        f"MC {res.mean_rho_r[2, 2]:.4f} vs MMCA {mmca_high_l:.4f} at l=0.9; "
+        f"all-beta_a lower bound at l=0.9: mean {bound_mean:.4f}, min {bound_min:.4f} "
+        f"of 10 MC runs; {elapsed:.0f}s",
     )
     assert ok_a
     assert ok_b
@@ -214,13 +234,15 @@ def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
     mmca_top, mmca_bottom = mmca_rho_r(
         spec_top, [(spec_top.omega, 0.5, 0.8), (spec_bottom.omega, 0.5, 0.8)]
     )
+    bound_mean, bound_min = all_beta_a_rho_r(spec_bottom, spec_bottom.omega, 0.5, 0.8)
     report(
         7,
         ok,
         f"final rho_R: degree_top={top_final:.3f} (need >=0.8; MMCA {mmca_top:.4f}), "
         f"degree_bottom={bottom_final:.3f} (need <=0.45; MMCA {mmca_bottom:.4f}); plateau steps: "
         f"degree_top={top_plateau:.0f} (need <120), "
-        f"degree_bottom={bottom_plateau:.0f} (need >150)",
+        f"degree_bottom={bottom_plateau:.0f} (need >150); degree_bottom's all-beta_a lower "
+        f"bound: mean {bound_mean:.4f}, min {bound_min:.4f} of 10 MC runs",
     )
     assert top_final >= 0.8
     assert top_plateau < 120
@@ -230,6 +252,7 @@ def test_criterion_7_silenced_hub_contrast(silenced_hub_timeseries):
 
 def test_criterion_8_silenced_fraction_sweep():
     started = time.monotonic()
+    fractions = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     spec = ExperimentSpec(
         n=10000,
         lambdas=(0.3,),
@@ -238,9 +261,10 @@ def test_criterion_8_silenced_fraction_sweep():
         omega=OmegaSpec(strategy="random", count=20),
         replications=10,
         master_seed=0,
+        strategies=("degree_top", "random", "degree_bottom"),
+        fractions=fractions,
     )
-    fractions = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    res = omega_ratio_sweep(spec, ("degree_top", "random", "degree_bottom"), fractions)
+    res = omega_ratio_sweep(spec)
     top = res.curve("degree_top")
     rand = res.curve("random")
     bottom = res.curve("degree_bottom")

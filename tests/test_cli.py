@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from muxepi import ConfigError, cli, read_edge_list
-from muxepi.cli import _AXES, _COMMANDS, _KEYS, SUBCOMMANDS, _experiment_spec, main, parse_config
+from muxepi.cli import _AXES, _COMMANDS, _KEYS, SUBCOMMANDS, main, parse_config
 from muxepi.selection import STRATEGIES
 
 ROOT = Path(__file__).parents[1]
@@ -120,14 +120,14 @@ class TestParseConfig:
 
     def test_readme_example_heatmap(self, tmp_path):
         config = readme_config(tmp_path, "heatmap")
-        spec = _experiment_spec(config)
+        spec = config.spec
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         assert spec.lambdas == spec.betas == grid
         assert (spec.replications, spec.n, spec.master_seed) == (10, 10000, 42)
 
     def test_readme_example_sweep(self, tmp_path):
         config = readme_config(tmp_path, "sweep")
-        spec = _experiment_spec(config)
+        spec = config.spec
         assert (spec.lambdas, spec.betas) == ((0.3,), (0.2,))
         assert spec.gamma == 0.4
         assert config.get("strategies") == ("degree_top", "random", "degree_bottom")
@@ -441,6 +441,23 @@ class TestMainErrors:
         argv = [sub, "--out", str(out)] + [a for s in sets for a in ("--set", s)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"muxepi: config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sub, item, message",
+        [("heatmap", "lambdas=0.1,0.1", "lambdas has a repeated entry: (0.1, 0.1)"),
+         ("sweep", "fractions=", "fractions is empty"),
+         ("sweep", "strategies=random,random",
+          "strategies has a repeated entry: ('random', 'random')"),
+         ("heatmap", "initial_infected_fraction=1",
+          "initial_infected_fraction must be in (0,1), got 1.0")],
+        ids=["repeated_lambda", "empty_fractions", "repeated_strategy", "all_infected"],
+    )
+    def test_spec_error_exits_before_out_exists(self, sub, item, message, tmp_path, capsys):
+        # The run's ExperimentSpec is built and checked in parse_config, before run makes --out.
+        out = tmp_path / "fresh"
+        assert main([sub, "--out", str(out), "--set", "n=60", "--set", item]) == 2
+        assert capsys.readouterr().err == f"muxepi: error: {message}\n"
         assert not out.exists()
 
     def test_edge_files_skip_the_generator_size_rules(self, tmp_path):

@@ -106,6 +106,12 @@ class TestInitStates:
     def test_omega_mask_accepts_integer_indices(self, omega_set, silenced):
         assert np.flatnonzero(omega_mask(5, omega_set)).tolist() == silenced
 
+    def test_silenced_mask_is_read_only(self):
+        # A state's mask is fixed for the whole run, so it cannot be edited in place.
+        state = init_states(small_net(), [3, 9], default_params(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="read-only"):
+            state.omega[0] = True
+
     def test_rejects_zero_nodes(self):
         # Nothing to seed, and every fraction would be 0/0.
         net = MultiplexNetwork(Graph(0, []), Graph(0, []))

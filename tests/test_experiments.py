@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestValidation:
 
     def test_bad_sweep_fraction_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            omega_ratio_sweep(small_spec(), ["random"], [0.0, 1.5])
+            omega_ratio_sweep(small_spec(strategies=["random"], fractions=[0.0, 1.5]))
 
     @pytest.mark.parametrize("key", ["lambdas", "betas"])
     def test_repeated_grid_entry_rejected(self, key):
@@ -129,14 +130,16 @@ class TestValidation:
     )
     def test_repeated_sweep_entry_rejected(self, strategies, fractions, key):
         with pytest.raises(InvalidArgumentError, match=key):
-            omega_ratio_sweep(small_spec(), strategies, fractions)
+            omega_ratio_sweep(small_spec(strategies=strategies, fractions=fractions))
 
     @pytest.mark.parametrize(
         "experiment, axis",
         [
             (timeseries_experiment, {"lambdas": (0.2, 0.9)}),
-            (lambda spec: omega_ratio_sweep(spec, ["random"], [0.1]), {"lambdas": (0.2, 0.9)}),
-            (lambda spec: omega_ratio_sweep(spec, ["random"], [0.1]), {"betas": (0.1, 0.4)}),
+            (lambda spec: omega_ratio_sweep(replace(spec, strategies=["random"], fractions=[0.1])),
+             {"lambdas": (0.2, 0.9)}),
+            (lambda spec: omega_ratio_sweep(replace(spec, strategies=["random"], fractions=[0.1])),
+             {"betas": (0.1, 0.4)}),
         ],
         ids=["timeseries-lambdas", "sweep-lambdas", "sweep-betas"],
     )
@@ -177,7 +180,7 @@ class TestHeatmap:
                 small_spec(betas=(0.2, 0.6)), jobs=jobs
             ),
             "sweep": lambda jobs: omega_ratio_sweep(
-                spec, ["random", "degree_top"], [0.0, 0.2], jobs=jobs
+                replace(spec, strategies=["random", "degree_top"], fractions=[0.0, 0.2]), jobs=jobs
             ),
         }
         for name, driver in drivers.items():
@@ -260,7 +263,8 @@ class TestTailSkip:
     def test_tail_window_changes_only_the_spec_line(self):
         drivers = {
             "heatmap": heatmap_experiment,
-            "sweep": lambda spec: omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.2]),
+            "sweep": lambda spec: omega_ratio_sweep(
+                replace(spec, strategies=["random", "degree_top"], fractions=[0.0, 0.2])),
         }
         betas = {"heatmap": (0.1, 0.4), "sweep": (0.1,)}
         for name, driver in drivers.items():
@@ -441,27 +445,27 @@ class TestSweep:
         # fraction 0 silences nobody and fraction 1 silences everybody, so
         # the model is identical across strategies there; each cell still
         # draws its own seeds, so agreement is within Monte-Carlo noise.
-        spec = small_spec(n=500, replications=6)
-        res = omega_ratio_sweep(spec, ["random", "degree_top", "degree_bottom"], [0.0, 1.0])
+        strategies = ["random", "degree_top", "degree_bottom"]
+        spec = small_spec(n=500, replications=6, strategies=strategies, fractions=[0.0, 1.0])
+        res = omega_ratio_sweep(spec)
         for frac in (0.0, 1.0):
             vals = res.mean_rho_r[:, res.cols.index(frac)]
             assert max(vals) - min(vals) < 0.05
 
     def test_curve_accessor(self):
-        spec = small_spec()
-        res = omega_ratio_sweep(spec, ["degree_top"], [0.0, 0.2])
+        spec = small_spec(strategies=["degree_top"], fractions=[0.0, 0.2])
+        res = omega_ratio_sweep(spec)
         curve = res.curve("degree_top")
         assert curve.shape == (2,)
         assert curve[0] == res.mean_rho_r[res.rows.index("degree_top"), res.cols.index(0.0)]
 
     def test_reproducible(self):
-        spec = small_spec()
-        first, second = (omega_ratio_sweep(spec, ["random", "degree_top"], [0.0, 0.1])
-                         for _ in range(2))
+        spec = small_spec(strategies=["random", "degree_top"], fractions=[0.0, 0.1])
+        first, second = (omega_ratio_sweep(spec) for _ in range(2))
         assert_same_outcome(first, second)
 
     def test_csv_format(self, tmp_path):
-        res = omega_ratio_sweep(small_spec(), ["random"], [0.1])
+        res = omega_ratio_sweep(small_spec(strategies=["random"], fractions=[0.1]))
         lines = cli_csv("sweep", tmp_path, "lambdas=0.5", "betas=0.3", "strategies=random",
                         "fractions=0.1")
         assert lines[1] == "strategy,fraction,mean_rho_r,std_rho_r,replications"
@@ -489,17 +493,17 @@ class TestRankingCache:
 
     def test_one_centrality_call_per_replication(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "betweenness", "clustering_coefficients")
-        spec = small_spec(replications=2)
-        serial = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=1)
+        spec = small_spec(replications=2, strategies=self.STRATEGIES, fractions=self.FRACTIONS)
+        serial = omega_ratio_sweep(spec, jobs=1)
         assert calls == {"betweenness": 2, "clustering_coefficients": 2}
-        pooled = omega_ratio_sweep(spec, self.STRATEGIES, self.FRACTIONS, jobs=2)
+        pooled = omega_ratio_sweep(spec, jobs=2)
         assert_same_outcome(serial, pooled)
 
     def test_zero_fraction_reads_no_centrality(self, monkeypatch):
         names = ("degree_sequence", "betweenness", "clustering_coefficients")
         calls = self.count_calls(monkeypatch, *names)
         strategies = ["degree_top", "betweenness_top", "clustering_bottom", "random"]
-        omega_ratio_sweep(small_spec(replications=2), strategies, [0.0])
+        omega_ratio_sweep(small_spec(replications=2, strategies=strategies, fractions=[0.0]))
         assert calls == dict.fromkeys(names, 0)
 
     def test_sliced_orders_equal_select_omega(self, monkeypatch):
@@ -510,7 +514,8 @@ class TestRankingCache:
             return dynamics.run_to_absorption(net, omega_set, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "run_to_absorption", recorded)
-        omega_ratio_sweep(small_spec(replications=2), self.STRATEGIES, [0.0] + self.FRACTIONS)
+        omega_ratio_sweep(small_spec(replications=2, strategies=self.STRATEGIES,
+                                     fractions=[0.0] + self.FRACTIONS))
         cells = [(s, f) for s in self.STRATEGIES for f in [0.0] + self.FRACTIONS]
         assert len(runs) == 2 * len(cells)
         for (net, omega_set), (strategy, fraction) in zip(runs, cells * 2):

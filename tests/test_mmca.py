@@ -414,6 +414,13 @@ class TestInputsUnchanged:
         for k, (got, want) in enumerate(zip(self.read_arrays(state, net), kept)):
             assert_bit_equal(got, want, k)
 
+    def test_silenced_mask_is_read_only(self):
+        # The carried run constants are keyed on the mask's identity, so an edit
+        # in place would leave them stale; a new mask must be a new array.
+        state = init_mmca(small_net(), [3, 9], default_params())
+        with pytest.raises(ValueError, match="read-only"):
+            state.omega[0] = True
+
     def test_awareness_step_leaves_its_input(self, monkeypatch):
         net, params, state = self.silenced_run()
         calls = []
