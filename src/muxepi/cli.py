@@ -29,7 +29,7 @@ from .experiments import (
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import (  # noqa: F401
     MultiplexNetwork, generate_ba, read_edge_list, write_edge_list, write_lines)
-from .mmca import COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run
+from .mmca import COMPONENTS, DEFAULT_TOL, check_stop, epidemic_threshold, mmca_run
 from .selection import STRATEGIES, OmegaSpec
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
@@ -167,7 +167,8 @@ def parse_config(
     ba_m, ws_k and ws_p such keys. A seed given nowhere falls back to MUXEPI_SEED, then 0.
     The run's record, `values`, holds each key of its _COMMANDS entry that is set, and
     the seed, sorted; a given omega_fraction unsets omega_count's default. `spec` is
-    that record's ExperimentSpec, so its checks too run before any output exists.
+    that record's ExperimentSpec, so its checks too run before any output exists, as
+    do the solvers' tol rule and the one-entry rule of each axis the runner reads once.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -211,8 +212,13 @@ def parse_config(
             raise ConfigError(f"{key} {rule}, got {values[key]}")
     if sub == "threshold" and values["mu"] == 0:  # beta_c = mu / Lambda_max would be 0
         raise ConfigError(f"mu must be above 0 for threshold, got {values['mu']}")
-    return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1,
-                     _experiment_spec(seed, values), values)
+    if "tol" in values:
+        check_stop(values["tol"], 1)
+    spec = _experiment_spec(seed, values)
+    for axis in ("lambdas", "betas"):
+        if len(defaults.get(axis, ())) == 1:  # the runner reads the axis's one entry
+            spec.only(axis)
+    return RunConfig(sub, out or ".", seed, jobs or os.cpu_count() or 1, spec, values)
 
 
 def _networks(config: RunConfig):

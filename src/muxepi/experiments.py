@@ -68,8 +68,11 @@ class ExperimentSpec:
                 raise InvalidArgumentError(f"{name} is empty")
             if len(set(values)) < len(values):
                 raise InvalidArgumentError(f"{name} has a repeated entry: {tuple(values)}")
-            for v in values if name != "strategies" else ():
-                check_range(f"{name} entry", v, 0.0, 1.0)
+            for v in values:
+                if name == "strategies":
+                    OmegaSpec(strategy=v, count=0)  # its check names an unknown strategy
+                else:
+                    check_range(f"{name} entry", v, 0.0, 1.0)
         for name, low in (("n", 1), ("replications", 1), ("tail_window", 0)):
             check_count(name, getattr(self, name), low)
         self.params(self.lambdas[0], self.betas[0])  # checks the other rates before any cell runs

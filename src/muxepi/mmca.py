@@ -135,7 +135,7 @@ def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsPara
     return run
 
 
-def _check_stop(tol: float, max_iter: int) -> None:
+def check_stop(tol: float, max_iter: int) -> None:
     """An iteration's stop rule: 0 < tol < 1, and at least one iteration. A
     probability moves by at most 1 a step, so tol >= 1 stops every fixed point
     after one iteration, and Lanczos would accept any Ritz value; NaN stops nothing."""
@@ -151,7 +151,7 @@ def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
     as moving, an empty array as unmoved. Only the error takes the largest
     change over all arrays, NaN if any is.
     """
-    _check_stop(tol, max_iter)
+    check_stop(tol, max_iter)
 
     def changes():
         return (np.abs(a - b).max(initial=0.0) for a, b in zip(arrays(x), arrays(prev)))
@@ -316,7 +316,7 @@ def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     n = m.shape[0]
     if n == 0 or m.shape != (n, n):
         raise InvalidArgumentError(f"need a non-empty square matrix, got shape {m.shape}")
-    _check_stop(tol, max_iter)
+    check_stop(tol, max_iter)
     if not sparse.issparse(m):
         vals = np.linalg.eigvals(np.asarray(m, dtype=np.float64))
         mod = np.abs(vals)

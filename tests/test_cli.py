@@ -134,22 +134,22 @@ class TestParseConfig:
         assert config.get("fractions") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
     @pytest.mark.parametrize(
-        "text, sets, axis, expected",
+        "sub, text, sets, axis, expected",
         [
-            ("", {"lambdas": "0.2", "lambda": "0.4"}, "lambdas", (0.4,)),
-            ("", {"lambda": "0.4", "lambdas": "0.2,0.3"}, "lambdas", (0.2, 0.3)),
-            ("", {"betas": "0.2,0.5", "beta_u": "0.1"}, "betas", (0.1,)),
-            ("lambdas = 0.2\n[sweep]\nlambda = 0.4\n", {}, "lambdas", (0.4,)),
-            ("lambda = 0.4\n[sweep]\nlambdas = 0.2\n", {}, "lambdas", (0.2,)),
-            ("beta_u = 0.3\nbetas = 0.1\n", {}, "betas", (0.1,)),
-            ("lambda = 0.3\n", {"beta_u": "0.1"}, "lambdas", (0.3,)),
+            ("sweep", "", {"lambdas": "0.2", "lambda": "0.4"}, "lambdas", (0.4,)),
+            ("heatmap", "", {"lambda": "0.4", "lambdas": "0.2,0.3"}, "lambdas", (0.2, 0.3)),
+            ("sweep", "", {"betas": "0.2,0.5", "beta_u": "0.1"}, "betas", (0.1,)),
+            ("sweep", "lambdas = 0.2\n[sweep]\nlambda = 0.4\n", {}, "lambdas", (0.4,)),
+            ("sweep", "lambda = 0.4\n[sweep]\nlambdas = 0.2\n", {}, "lambdas", (0.2,)),
+            ("sweep", "beta_u = 0.3\nbetas = 0.1\n", {}, "betas", (0.1,)),
+            ("sweep", "lambda = 0.3\n", {"beta_u": "0.1"}, "lambdas", (0.3,)),
         ],
         ids=["set_lambda_after_lambdas", "set_lambdas_after_lambda", "set_beta_u_after_betas",
              "section_lambda_beats_common_lambdas", "section_lambdas_beats_common_lambda",
              "later_line_wins", "common_lambda"],
     )
-    def test_one_value_key_is_its_axis(self, text, sets, axis, expected, tmp_path):
-        config = parse_config(write_config(tmp_path, text), overrides=sets, subcommand="sweep")
+    def test_one_value_key_is_its_axis(self, sub, text, sets, axis, expected, tmp_path):
+        config = parse_config(write_config(tmp_path, text), overrides=sets, subcommand=sub)
         assert config.get(axis) == expected
         assert "lambda" not in config.values and "beta_u" not in config.values
 
@@ -450,11 +450,19 @@ class TestMainErrors:
          ("sweep", "strategies=random,random",
           "strategies has a repeated entry: ('random', 'random')"),
          ("heatmap", "initial_infected_fraction=1",
-          "initial_infected_fraction must be in (0,1), got 1.0")],
-        ids=["repeated_lambda", "empty_fractions", "repeated_strategy", "all_infected"],
+          "initial_infected_fraction must be in (0,1), got 1.0"),
+         ("timeseries", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
+         ("sweep", "betas=0.1,0.2", "betas must hold one entry here, got (0.1, 0.2)"),
+         ("threshold", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
+         ("mmca", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
+         ("threshold", "tol=0", "tol must be in (0, 1), got 0.0"),
+         ("mmca", "tol=1", "tol must be in (0, 1), got 1.0")],
+        ids=["repeated_lambda", "empty_fractions", "repeated_strategy", "all_infected",
+             "timeseries_second_lambda", "sweep_second_beta", "threshold_second_lambda",
+             "mmca_second_lambda", "threshold_zero_tol", "mmca_unit_tol"],
     )
     def test_spec_error_exits_before_out_exists(self, sub, item, message, tmp_path, capsys):
-        # The run's ExperimentSpec is built and checked in parse_config, before run makes --out.
+        # parse_config checks the run's ExperimentSpec and tol before run makes --out.
         out = tmp_path / "fresh"
         assert main([sub, "--out", str(out), "--set", "n=60", "--set", item]) == 2
         assert capsys.readouterr().err == f"muxepi: error: {message}\n"

@@ -111,6 +111,10 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match=f"^{key} must be a whole number, got 2.5$"):
             ExperimentSpec(**{key: 2.5})
 
+    def test_unknown_strategy_rejected_when_built(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown strategy 'bogus'; choose from"):
+            ExperimentSpec(strategies=("bogus",))
+
     def test_bad_sweep_fraction_rejected(self):
         with pytest.raises(InvalidArgumentError):
             omega_ratio_sweep(small_spec(strategies=["random"], fractions=[0.0, 1.5]))

@@ -1,26 +1,16 @@
-"""Every public name resolves: a name removed from a module must also leave
-its `__all__` and the package's re-exports."""
+"""Every public name resolves, and each is declared once: in its module's `__all__`,
+which the package re-exports."""
 
-import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import muxepi
 
 MODULES = ("graph", "selection", "dynamics", "mmca", "experiments")
-
-
-def _package_imports():
-    """(module, name) for each `from .module import name` in muxepi/__init__.py."""
-    tree = ast.parse(Path(muxepi.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+ERRORS = ("ConfigError", "InvalidArgumentError", "MuxepiError", "NonConvergenceError")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -30,13 +20,16 @@ def test_all_entries_exist(module):
 
 
 def test_package_imports_exist_and_are_exported():
-    imports = _package_imports()
-    assert imports
-    for module, name in imports:
+    owners: dict = {}
+    for module in MODULES:
         mod = importlib.import_module(f"muxepi.{module}")
-        assert getattr(muxepi, name) is getattr(mod, name), (module, name)
-        if module in MODULES:
-            assert name in mod.__all__, (module, name)
+        for name in mod.__all__:
+            # a star import would silently shadow a name two modules export
+            assert owners.setdefault(name, module) == module, (name, owners[name], module)
+            assert getattr(muxepi, name) is getattr(mod, name), (module, name)
+    public = {name for name, value in vars(muxepi).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(owners) | set(ERRORS)
 
 
 def test_source_lines_fit_in_100_characters():
