@@ -29,16 +29,16 @@ from .experiments import (
 # cli.generate_ba stays bound: perfbench's tracer test looks the generator up in every module.
 from .graph import (  # noqa: F401
     MultiplexNetwork, generate_ba, read_edge_list, write_edge_list, write_lines)
-from .mmca import COMPONENTS, DEFAULT_TOL, check_stop, epidemic_threshold, mmca_run
+from .mmca import COMPONENTS, DEFAULT_TOL, epidemic_threshold, mmca_run
 from .selection import STRATEGIES, OmegaSpec
 
 SUBCOMMANDS = ("generate", "mmca", "threshold", "heatmap", "timeseries", "sweep")
 _SPEC = ExperimentSpec()  # the model's defaults, each written once, in experiments.py
 
-# key -> domain: "path", a tuple of allowed strings, (type, low, high) with inclusive
-# bounds (None: unbounded), or [d]: comma-separated entries each in d. The defaults are
+# key -> domain: "path", a tuple of allowed strings, (type, low, high[, brackets]) as
+# check_range reads them, or [d]: comma-separated entries each in d. The defaults are
 # each subcommand's, in _COMMANDS; lambda and beta_u are never stored.
-_RATE = (float, 0.0, 1.0)
+_RATE, _OPEN_RATE = (float, 0.0, 1.0), (float, 0.0, 1.0, "()")
 _KEYS = {
     "subcommand": SUBCOMMANDS,
     "seed": (int, 0, None),
@@ -54,9 +54,9 @@ _KEYS = {
     "gamma": _RATE,
     "delta": _RATE,
     "mu": _RATE,
-    "initial_infected_fraction": _RATE,
+    "initial_infected_fraction": _OPEN_RATE,
     "max_steps": (int, 1, None),
-    "tol": _RATE,
+    "tol": _OPEN_RATE,
     "omega_strategy": STRATEGIES,
     "omega_count": (int, 0, None),
     "omega_fraction": _RATE,
@@ -99,12 +99,12 @@ def _check(key: str, raw: str, domain, where: str, label: str):
         if raw not in domain:
             raise ConfigError(f"{where}: unknown {label} {raw!r}; choose from {domain}")
         return raw
-    kind, low, high = domain
+    kind, low, high, *bounds = domain
     try:
         value = kind(raw) + 0  # + 0 turns -0.0 into 0.0, so both spellings store the same bytes
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from exc
-    return check_range(f"{where}: {label}", value, low, high, ConfigError)
+    return check_range(f"{where}: {label}", value, low, high, ConfigError, *bounds)
 
 
 def _reads(sub: str, key: str) -> bool:
@@ -168,7 +168,7 @@ def parse_config(
     The run's record, `values`, holds each key of its _COMMANDS entry that is set, and
     the seed, sorted; a given omega_fraction unsets omega_count's default. `spec` is
     that record's ExperimentSpec, so its checks too run before any output exists, as
-    do the solvers' tol rule and the one-entry rule of each axis the runner reads once.
+    does the one-entry rule of each axis the runner reads once.
     """
     sections = _read_config_file(path) if path is not None else {"common": {}}
     sets = dict(_parse_value(key, raw, f"--set {key}") for key, raw in (overrides or {}).items())
@@ -185,8 +185,8 @@ def parse_config(
     if seed is None:
         seed = _parse_value("seed", os.environ.get("MUXEPI_SEED") or "0", "MUXEPI_SEED")[1]
     out = _parse_value("out", out_dir, "--out")[1] if out_dir is not None else given.get("out")
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    if jobs is not None:
+        check_range("--jobs", jobs, 1, error=ConfigError)
     defaults = dict(_COMMANDS[sub][1])
     if "omega_fraction" in given:
         if "omega_count" in given:
@@ -212,8 +212,6 @@ def parse_config(
             raise ConfigError(f"{key} {rule}, got {values[key]}")
     if sub == "threshold" and values["mu"] == 0:  # beta_c = mu / Lambda_max would be 0
         raise ConfigError(f"mu must be above 0 for threshold, got {values['mu']}")
-    if "tol" in values:
-        check_stop(values["tol"], 1)
     spec = _experiment_spec(seed, values)
     for axis in ("lambdas", "betas"):
         if len(defaults.get(axis, ())) == 1:  # the runner reads the axis's one entry

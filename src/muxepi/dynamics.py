@@ -10,6 +10,8 @@ aware for as long as it stays infected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil
 
 import numpy as np
 
@@ -55,11 +57,8 @@ class DynamicsParams:
         # threshold formula requires mu > 0 and enforces it at its call site.
         for name in ("lam", "delta", "beta_u", "gamma", "mu"):
             check_range(name, getattr(self, name), 0.0, 1.0)
-        if not 0.0 < self.initial_infected_fraction < 1.0:
-            raise InvalidArgumentError(
-                "initial_infected_fraction must be in (0,1), got "
-                f"{self.initial_infected_fraction}"
-            )
+        check_range("initial_infected_fraction", self.initial_infected_fraction, 0.0, 1.0,
+                    bounds="()")
         check_count("max_steps", self.max_steps, 1)
 
     @property
@@ -132,12 +131,12 @@ def init_states(
     params: DynamicsParams,
     rng: np.random.Generator,
 ) -> StateVector:
-    """Seed ceil(N * initial_infected_fraction) uniform infections; rest US."""
+    """Seed ceil(N * f) uniform infections, f the seed fraction as its shortest decimal; rest US."""
     n = net.node_count
     if n == 0:
         raise InvalidArgumentError("init_states needs at least one node, got node_count=0")
     omega = omega_mask(n, omega_set)
-    n_seed = int(np.ceil(n * params.initial_infected_fraction))
+    n_seed = ceil(Fraction(repr(float(params.initial_infected_fraction))) * n)
     seeds = rng.choice(n, size=n_seed, replace=False)
     disease = np.full(n, S, dtype=np.int8)
     disease[seeds] = I

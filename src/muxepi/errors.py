@@ -27,13 +27,16 @@ class ConfigError(MuxepiError):
     """A configuration file or flag set could not be validated."""
 
 
-def check_range(name, value, low, high=None, error=InvalidArgumentError):
-    """`value` if low <= value (<= high, when given), else `error` naming it; NaN never is."""
-    if high is None and not value >= low:
-        raise error(f"{name} must be >= {low}, got {value}")
-    if high is not None and not low <= value <= high:
-        raise error(f"{name} {value} outside range [{low}, {high}]")
-    return value
+def check_range(name, value, low, high=None, error=InvalidArgumentError, bounds="[]"):
+    """`value` if it lies between low and high (None: unbounded), each end closed or open
+    as its bracket in `bounds` says, else `error` naming it and them; NaN never lies there."""
+    above = value >= low if bounds[0] == "[" else value > low
+    below = high is None or (value <= high if bounds[1] == "]" else value < high)
+    if above and below:
+        return value
+    if high is None:
+        raise error(f"{name} must be {'>=' if bounds[0] == '[' else '>'} {low}, got {value}")
+    raise error(f"{name} {value} outside range {bounds[0]}{low}, {high}{bounds[1]}")
 
 
 def check_count(name, value, low):

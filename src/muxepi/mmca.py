@@ -135,12 +135,11 @@ def _run_constants(state: MmcaState, net: MultiplexNetwork, params: DynamicsPara
     return run
 
 
-def check_stop(tol: float, max_iter: int) -> None:
+def _check_stop(tol: float, max_iter: int) -> None:
     """An iteration's stop rule: 0 < tol < 1, and at least one iteration. A
     probability moves by at most 1 a step, so tol >= 1 stops every fixed point
     after one iteration, and Lanczos would accept any Ritz value; NaN stops nothing."""
-    if not 0.0 < tol < 1.0:
-        raise InvalidArgumentError(f"tol must be in (0, 1), got {tol}")
+    check_range("tol", tol, 0.0, 1.0, bounds="()")
     check_count("max_iter", max_iter, 1)
 
 
@@ -151,7 +150,7 @@ def _fixed_point(step, x, arrays, tol: float, max_iter: int, what: str):
     as moving, an empty array as unmoved. Only the error takes the largest
     change over all arrays, NaN if any is.
     """
-    check_stop(tol, max_iter)
+    _check_stop(tol, max_iter)
 
     def changes():
         return (np.abs(a - b).max(initial=0.0) for a, b in zip(arrays(x), arrays(prev)))
@@ -316,7 +315,7 @@ def leading_eigenvalue(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     n = m.shape[0]
     if n == 0 or m.shape != (n, n):
         raise InvalidArgumentError(f"need a non-empty square matrix, got shape {m.shape}")
-    check_stop(tol, max_iter)
+    _check_stop(tol, max_iter)
     if not sparse.issparse(m):
         vals = np.linalg.eigvals(np.asarray(m, dtype=np.float64))
         mod = np.abs(vals)
@@ -356,8 +355,7 @@ def epidemic_threshold(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ThresholdResult:
     """Critical unaware infection probability mu / Lambda_max(H)."""
-    if not 0.0 < params.mu <= 1.0:
-        raise InvalidArgumentError(f"threshold needs mu in (0,1], got {params.mu}")
+    check_range("mu", params.mu, 0.0, 1.0, bounds="(]")
     p_a = uau_steady_state(net, params, omega_set=omega_set, tol=tol, max_iter=max_iter)
     h = build_h_matrix(p_a, net.contact_layer, params.gamma)
     # B is symmetric 0/1, so sqrt(H o H^T) is D^1/2 B D^1/2: symmetric, same spectrum as H.

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from muxepi import ConfigError, cli, read_edge_list
+from muxepi import (
+    ConfigError, DynamicsParams, InvalidArgumentError, cli, generate_ws, mmca, read_edge_list)
 from muxepi.cli import _AXES, _COMMANDS, _KEYS, SUBCOMMANDS, main, parse_config
-from muxepi.selection import STRATEGIES
+from muxepi.selection import STRATEGIES, OmegaSpec
 
 ROOT = Path(__file__).parents[1]
 
@@ -35,6 +37,11 @@ SMALL = (
     "replications = 2\n"
     "initial_infected_fraction = 0.01\n"
 )
+
+
+def params(**rates):
+    return DynamicsParams(**{"lam": 0.5, "delta": 0.04, "beta_u": 0.3, "gamma": 0.5, "mu": 0.06,
+                             **rates})
 
 
 class TestParseConfig:
@@ -101,10 +108,10 @@ class TestParseConfig:
             if domain in ("path", SUBCOMMANDS, STRATEGIES):
                 names = {"path": "path", SUBCOMMANDS: "one of the subcommands"}
                 return names.get(domain, "strategy name")
-            kind, low, high = domain
+            kind, low, high, *brackets = domain
             if kind is float:
                 assert (low, high) == (0.0, 1.0)  # what the README calls a rate
-                return "rate"
+                return {(): "rate", ("()",): "open rate"}[tuple(brackets)]
             assert kind is int and high is None
             return f"int ≥ {low}"
 
@@ -431,9 +438,13 @@ class TestMainErrors:
          ("heatmap", ["n=60", "ws_k=60"], "ws_k must be below n (60), got 60"),
          ("heatmap", ["n=60", "ba_m=61"], "ba_m must be at most n (60), got 61"),
          ("heatmap", ["n=10"], "omega_count must be at most n (10), got 20"),
-         ("threshold", ["n=60", "mu=0"], "mu must be above 0 for threshold, got 0.0")],
+         ("threshold", ["n=60", "mu=0"], "mu must be above 0 for threshold, got 0.0"),
+         ("heatmap", ["n=60", "initial_infected_fraction=1"],
+          "--set initial_infected_fraction: initial_infected_fraction 1.0 outside range (0.0, 1.0)"),
+         ("threshold", ["n=60", "tol=0"], "--set tol: tol 0.0 outside range (0.0, 1.0)"),
+         ("mmca", ["n=60", "tol=1"], "--set tol: tol 1.0 outside range (0.0, 1.0)")],
         ids=["odd_ws_k", "ws_k_not_below_n", "ba_m_above_n", "default_omega_count_above_n",
-             "threshold_mu_zero"],
+             "threshold_mu_zero", "all_infected", "threshold_zero_tol", "mmca_unit_tol"],
     )
     def test_size_that_does_not_fit_n_exits_before_out_exists(self, sub, sets, message, tmp_path,
                                                               capsys):
@@ -449,23 +460,34 @@ class TestMainErrors:
          ("sweep", "fractions=", "fractions is empty"),
          ("sweep", "strategies=random,random",
           "strategies has a repeated entry: ('random', 'random')"),
-         ("heatmap", "initial_infected_fraction=1",
-          "initial_infected_fraction must be in (0,1), got 1.0"),
          ("timeseries", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
          ("sweep", "betas=0.1,0.2", "betas must hold one entry here, got (0.1, 0.2)"),
          ("threshold", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
-         ("mmca", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)"),
-         ("threshold", "tol=0", "tol must be in (0, 1), got 0.0"),
-         ("mmca", "tol=1", "tol must be in (0, 1), got 1.0")],
-        ids=["repeated_lambda", "empty_fractions", "repeated_strategy", "all_infected",
+         ("mmca", "lambdas=0.1,0.2", "lambdas must hold one entry here, got (0.1, 0.2)")],
+        ids=["repeated_lambda", "empty_fractions", "repeated_strategy",
              "timeseries_second_lambda", "sweep_second_beta", "threshold_second_lambda",
-             "mmca_second_lambda", "threshold_zero_tol", "mmca_unit_tol"],
+             "mmca_second_lambda"],
     )
     def test_spec_error_exits_before_out_exists(self, sub, item, message, tmp_path, capsys):
-        # parse_config checks the run's ExperimentSpec and tol before run makes --out.
+        # parse_config checks the run's ExperimentSpec before run makes --out.
         out = tmp_path / "fresh"
         assert main([sub, "--out", str(out), "--set", "n=60", "--set", item]) == 2
         assert capsys.readouterr().err == f"muxepi: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize("raw", ["0", "1", "-0.5", "1e300", "nan"])
+    @pytest.mark.parametrize("sub, key", [("threshold", "tol"), ("mmca", "tol"),
+                                          ("heatmap", "initial_infected_fraction")])
+    def test_open_rate_has_one_message(self, sub, key, raw, source, tmp_path, capsys):
+        # Every value outside (0, 1) fails _check, so one text names each, before --out exists.
+        out, cfg = tmp_path / "fresh", tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        given = ["--set", f"{key}={raw}"] if source == "set" else ["--config", str(cfg)]
+        where = f"--set {key}" if source == "set" else f"{cfg}:1"
+        assert main([sub, "--out", str(out), "--set", "n=60", *given]) == 2
+        assert capsys.readouterr().err == (
+            f"muxepi: config error: {where}: {key} {float(raw)} outside range (0.0, 1.0)\n")
         assert not out.exists()
 
     def test_edge_files_skip_the_generator_size_rules(self, tmp_path):
@@ -547,6 +569,40 @@ class TestMainErrors:
         assert not (tmp_path / "manifest.json").exists()
 
 
+class TestDomainsMatchTheLibrary:
+    # A library object checks each float key again; both must draw the same line, or a
+    # value would pass one check and meet the other's message.
+    LIBRARY = {
+        "tol": lambda v: mmca._check_stop(v, 1),
+        "initial_infected_fraction": lambda v: params(initial_infected_fraction=v),
+        "lambda": lambda v: params(lam=v),
+        "beta_u": lambda v: params(beta_u=v),
+        "gamma": lambda v: params(gamma=v),
+        "delta": lambda v: params(delta=v),
+        "mu": lambda v: params(mu=v),
+        "ws_p": lambda v: generate_ws(6, 2, v, seed=0),
+        "omega_fraction": lambda v: OmegaSpec("random", fraction=v),
+    }
+
+    def test_every_float_key_is_covered(self):
+        floats = {k for k, d in _KEYS.items() if isinstance(d, tuple) and d[0] is float}
+        assert floats == set(self.LIBRARY)
+
+    @pytest.mark.parametrize("key", sorted(LIBRARY))
+    def test_cli_and_library_accept_the_same_values(self, key):
+        def accepts(check, value):
+            try:
+                check(value)
+            except (ConfigError, InvalidArgumentError):
+                return False
+            return True
+
+        for value in (0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)):
+            cli_accepts = accepts(lambda v: cli._check(key, repr(v), _KEYS[key], "--set", key),
+                                  value)
+            assert cli_accepts == accepts(self.LIBRARY[key], value), (key, value)
+
+
 class TestRateAxes:
     """lambda and beta_u are the one-value spellings of lambdas and betas."""
 
@@ -588,7 +644,7 @@ class TestRateAxes:
 
 # An in-domain value for each key, as --set spells it.
 _SAMPLES = {"path": "x.edges", STRATEGIES: "degree_top", (int, 0, None): "0", (int, 1, None): "1",
-            (int, 2, None): "2", (float, 0.0, 1.0): "0.5"}
+            (int, 2, None): "2", (float, 0.0, 1.0): "0.5", (float, 0.0, 1.0, "()"): "0.5"}
 
 
 def sample(domain):

@@ -46,12 +46,14 @@ def in_domain(domain, raw: str) -> bool:
         return "\x00" not in raw and raw != ""
     if isinstance(domain[0], str):
         return raw in domain
-    kind, low, high = domain
+    kind, low, high, *brackets = domain
     try:
         value = kind(raw)
     except ValueError:
         return False
-    return value >= low and (high is None or value <= high)
+    opening, closing = brackets[0] if brackets else "[]"
+    above = value >= low if opening == "[" else value > low
+    return above and (high is None or (value <= high if closing == "]" else value < high))
 
 
 def reads(subcommand: str, key: str) -> bool:

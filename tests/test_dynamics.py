@@ -52,8 +52,15 @@ class TestParams:
          (dict(gamma=2.0), "gamma 2.0 outside range [0.0, 1.0]"),
          (dict(max_steps=0), "max_steps must be >= 1, got 0"),
          (dict(max_steps=float("nan")), "max_steps must be >= 1, got nan"),
-         (dict(max_steps=2.5), "max_steps must be a whole number, got 2.5")],
-        ids=["bad0", "bad1", "bad2", "bad3", "bad4", "bad5"])
+         (dict(max_steps=2.5), "max_steps must be a whole number, got 2.5"),
+         (dict(initial_infected_fraction=0.0),
+          "initial_infected_fraction 0.0 outside range (0.0, 1.0)"),
+         (dict(initial_infected_fraction=1.0),
+          "initial_infected_fraction 1.0 outside range (0.0, 1.0)"),
+         (dict(initial_infected_fraction=float("nan")),
+          "initial_infected_fraction nan outside range (0.0, 1.0)")],
+        ids=["bad0", "bad1", "bad2", "bad3", "bad4", "bad5", "no_seed", "all_seeded",
+             "nan_seed_fraction"])
     def test_rejects_out_of_range(self, bad, message):
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             default_params(**bad)
@@ -69,6 +76,16 @@ class TestInitStates:
         sv = init_states(net, [], default_params(initial_infected_fraction=0.001),
                          np.random.default_rng(0))
         assert int(np.count_nonzero(sv.disease == I)) == 1
+
+    @pytest.mark.parametrize("n, fraction, seeded",
+                             [(100, 0.07, 7), (300, 0.07, 21), (10_000, 0.07, 700),
+                              (300, 0.001, 1), (10_000, 0.001, 10), (300, 0.02, 6)])
+    def test_seed_count_is_ceiling_of_the_decimal(self, n, fraction, seeded):
+        # In binary, 100 * 0.07 is 7.000000000000001: its ceiling would seed one node too many.
+        net = MultiplexNetwork(Graph(n, []), Graph(n, []))
+        sv = init_states(net, [], default_params(initial_infected_fraction=fraction),
+                         np.random.default_rng(0))
+        assert int(np.count_nonzero(sv.disease == I)) == seeded
 
     def test_infected_nodes_start_aware(self):
         net = small_net()

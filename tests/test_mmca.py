@@ -382,6 +382,12 @@ class TestRun:
         with pytest.raises(InvalidArgumentError, match="tol|max_iter"):
             uau_steady_state(net, default_params(), tol=tol, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, np.nan])
+    def test_stop_rule_names_its_open_interval(self, tol):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^tol {tol} outside range \(0\.0, 1\.0\)$"):
+            mmca._check_stop(tol, 1)
+
     def test_nonconvergence_raises(self):
         net = small_net(60, seed=5)
         with pytest.raises(NonConvergenceError) as exc:
@@ -490,6 +496,12 @@ class TestUauSteadyState:
         a = uau_steady_state(net, params, init=0.9, tol=1e-12)
         b = uau_steady_state(net, params, init=0.1, tol=1e-12)
         assert np.abs(a - b).max() < 1e-8
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, np.nan])
+    def test_stop_rule_names_its_open_interval(self, tol):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^tol {tol} outside range \(0\.0, 1\.0\)$"):
+            mmca._check_stop(tol, 1)
 
     def test_nonconvergence_raises(self):
         net = small_net()
@@ -662,7 +674,7 @@ class TestEpidemicThreshold:
         assert res.beta_c == pytest.approx(expected, rel=1e-12)
 
     def test_requires_positive_mu(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=r"^mu 0\.0 outside range \(0\.0, 1\.0\]$"):
             epidemic_threshold(ring_net(), default_params(mu=0.0))
 
     def test_empty_multiplex_has_no_threshold(self):

@@ -113,6 +113,11 @@ def test_fraction_resolution():
     assert len(sel) == 40
 
 
+@pytest.mark.parametrize("n, size", [(5, 2), (7, 4)])
+def test_fraction_rounds_half_to_even(n, size):
+    assert OmegaSpec(strategy="random", fraction=0.5).resolved_size(n) == size
+
+
 def test_omega_set_round_trip(tmp_path):
     # degree_top on a star: the hub, then the leaves by ascending index.
     edges, out = tmp_path / "star.edges", tmp_path / "mmca"
