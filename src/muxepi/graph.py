@@ -242,9 +242,9 @@ def degree_sequence(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
-# Sources per block of the float betweenness (one sparse × dense product per BFS
-# level). On BA layers at N=10^3 and 10^4, one core of a 2-core Xeon, 16 ran as
-# fast as 32 or 64 with a quarter of 64's temporaries (~0.9 MB at N=10^3).
+# Sources per block of the float betweenness: its temporaries are a few (n, 16)
+# arrays, whatever the BFS depth. On BA layers at N=10^3 and 10^4, one core of a
+# 2-core Xeon, 16 ran as fast as 32 or 64 with a quarter of 64's temporaries.
 _BRANDES_SOURCES = 16
 
 
@@ -253,9 +253,10 @@ def betweenness(g: Graph, exact: bool = False):
 
     BC_i sums n_st^i / g_st over ordered pairs (s, t), s != t, both != i,
     counting shortest paths only; disconnected pairs contribute 0. Computed
-    with Brandes' dependency accumulation: a float array from level-synchronous
-    passes over blocks of sources (Buluc & Gilbert, Combinatorial BLAS, 2011),
-    or with exact=True a list of Fractions from one source at a time.
+    with Brandes' dependency accumulation: with exact=True in Fractions, one
+    source at a time; else in floats over blocks of sources, one sparse product
+    a BFS level each way (Buluc & Gilbert, Combinatorial BLAS, 2011), a node
+    unseen while its path count is 0, and no product once every node is seen.
     """
     n = g.node_count
     if exact:
@@ -291,20 +292,27 @@ def betweenness(g: Graph, exact: bool = False):
     a, bc = g.adjacency(), np.zeros(n)
     for lo in range(0, n, _BRANDES_SOURCES):
         sources = np.arange(lo, min(n, lo + _BRANDES_SOURCES))
-        sigma, level = np.zeros((n, len(sources))), np.full((n, len(sources)), -1)
-        sigma[sources, sources - lo], level[sources, sources - lo] = 1.0, 0
-        # Column j is source lo + j. Paths from the frontier into unvisited
-        # nodes are the sigma of the next level.
+        sigma, level = np.zeros((n, len(sources))), np.zeros((n, len(sources)), np.int32)
+        sigma[sources, sources - lo] = 1.0
+        # Column j is source lo + j; paths from the frontier into unseen nodes
+        # are the next level's sigma.
         frontier, depth = sigma, 0
-        while (frontier := np.where(level < 0, a @ frontier, 0.0)).any():
+        while (unseen := sigma == 0).any() and (frontier := a @ frontier * unseen).any():
             depth += 1
-            level[frontier > 0] = depth
+            level += unseen
             sigma += frontier
+        # Unreached: no level, and sigma 1, so quotients are finite and 0/1 masks multiply exactly.
+        level[unseen], sigma[unseen] = -1, 1.0
         # delta_v = sigma_v * sum over successors w of (1 + delta_w) / sigma_w.
         delta = np.zeros_like(sigma)
         for d in range(depth, 1, -1):
-            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == d)
-            delta += np.where(level == d - 1, sigma * (a @ w), 0.0)
+            w = 1.0 + delta
+            w /= sigma
+            w *= level == d
+            w = a @ w
+            w *= sigma
+            w *= level == d - 1
+            delta += w
         bc += delta.sum(axis=1)
     return bc
 

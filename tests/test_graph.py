@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from muxepi import (
     generate_ba,
     generate_ws,
     read_edge_list,
+    replication_multiplex,
     write_edge_list,
 )
 from muxepi import graph
@@ -280,6 +283,49 @@ class TestBetweenness:
         monkeypatch.setattr(graph, "_BRANDES_SOURCES", 7)
         exact = [float(x) for x in betweenness(g, exact=True)]
         np.testing.assert_allclose(betweenness(g), exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: replication_multiplex(1000, 4, 4, 0.1, 1).awareness_layer,
+                "eca9065af17029d800af8b99b34bb388b10790b590558906014dcbea30aede57",
+            ),
+            (
+                # A 4-cycle with a chord, a lone edge, a 28-node path and three
+                # isolated nodes: block 0 mixes sources whose component runs out
+                # at depth 1 or 2 with path sources, and block 2 holds 5 sources.
+                lambda: Graph(
+                    37,
+                    [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5)]
+                    + [(i, i + 1) for i in range(8, 35)],
+                ),
+                "ab5cd5bc15bbf6b20929e9a0aacb6eff5464b5fb6ecb4abbfc6f781113f443d4",
+            ),
+        ],
+        ids=["sweep_awareness_layer", "mixed_components"],
+    )
+    def test_float_bits_are_pinned(self, make, digest):
+        # The sweep's rankings read these bits; a rewrite of the float path
+        # must keep every product, quotient and sum in the same order.
+        assert hashlib.sha256(betweenness(make()).tobytes()).hexdigest() == digest
+
+    def test_deep_bfs_keeps_temporaries_to_a_few_blocks(self):
+        # A cycle has BFS depth n/2. The float path peaks near 8 (n, 16) float
+        # arrays here; a list of per-level 0/1 masks would hold about 23.
+        n = 240
+        g = generate_ws(n, 2, 0.0)
+        exact = [float(x) for x in betweenness(g, exact=True)]
+        np.testing.assert_allclose(betweenness(g), exact, rtol=1e-12, atol=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            betweenness(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * graph._BRANDES_SOURCES * 8
 
     @pytest.mark.parametrize(
         "make",
